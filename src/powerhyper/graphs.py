@@ -43,7 +43,7 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(adjacency_lists(self)[v])
 
     def edge_index(self, e) -> int:
         u, v = min(e), max(e)

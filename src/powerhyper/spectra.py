@@ -1,11 +1,14 @@
 """Dense symmetric eigensolver and every signed/unsigned spectral quantity:
 spectral radii, deletion radii, weakest edges, and switching-class extremes.
 
-The eigensolver is a cyclic Jacobi sweep: plane rotations annihilate one
-off-diagonal entry at a time until the off-diagonal Frobenius mass drops
-below 1e-13 of its initial value.  Inputs here are tiny integral matrices,
-so a handful of sweeps always suffices; a hard cap of 100 sweeps guards
-against misuse.
+The eigensolver reduces the matrix to tridiagonal form with Householder
+reflections, then diagonalises the tridiagonal matrix by implicit-shift QL
+(Golub & Van Loan, *Matrix Computations*, ch. 8; EISPACK tred2/tql2).  The
+orthogonal factor is accumulated only when eigenvectors are asked for.  An
+off-diagonal entry is taken as zero once adding it to the running norm
+estimate leaves that estimate unchanged; each remaining 2x2 block is solved
+in closed form (as LAPACK dlaev2 does), so that, for example, K2 gets the
+radius 1.0 exactly.  Each eigenvalue may take at most 30 QL iterations.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ConvergenceError, InternalInconsistencyError, PreconditionError
 from .graphs import (
     Graph,
     SignedGraph,
     adjacency_matrix,
+    delete_edge,
+    delete_vertex,
     is_antibalanced,
     is_balanced,
     is_connected,
@@ -27,72 +33,198 @@ from .graphs import (
 )
 
 SYMMETRY_TOL = 1e-12
-OFF_DIAGONAL_TARGET = 1e-13
-MAX_SWEEPS = 100
+MAX_QL_ITERATIONS = 30
 TIE_TOL = 1e-9
 
 
-def _off_norm(a, n):
-    return math.sqrt(2.0 * sum(a[i][j] * a[i][j] for i in range(n) for j in range(i + 1, n)))
+def _tridiagonalize(a):
+    """Householder reduction of the symmetric list-of-rows matrix a.
+
+    Returns the diagonal d, the off-diagonal e (e[i] couples i and i+1) and
+    the reflectors (u, h) of the steps i = n-1, ..., 2 that need one, each
+    acting as I - u u^T / h on the leading i coordinates.
+    """
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    reflectors = []
+    for i in range(n - 1, 0, -1):
+        row = a[i]
+        d[i] = row[i]
+        alpha = row[i - 1]
+        xnorm = math.hypot(*row[: i - 1])
+        if xnorm == 0.0:
+            e[i - 1] = alpha
+            continue
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        e[i - 1] = beta
+        u = row[:i]
+        u[-1] = alpha - beta
+        h = beta * (beta - alpha)
+        block = a[:i]
+        p = [sum(map(mul, r, u)) / h for r in block]
+        half_k = sum(map(mul, u, p)) / (h + h)
+        q = [pj - half_k * uj for pj, uj in zip(p, u)]
+        a = [
+            [x - uj * qk - qj * uk for x, uk, qk in zip(r, u, q)]
+            for r, uj, qj in zip(block, u, q)
+        ]
+        reflectors.append((u, h))
+    d[0] = a[0][0]
+    return d, e, reflectors
 
 
-def _jacobi(matrix, want_vectors=False):
+def _eig2(a, b, c):
+    """Eigen-decomposition of [[a, b], [b, c]] in closed form (LAPACK dlaev2).
+
+    Returns (rt1, rt2, cs, sn) with |rt1| >= |rt2| and (cs, sn) the unit
+    eigenvector of rt1; (-sn, cs) is the eigenvector of rt2.
+    """
+    sm = a + c
+    df = a - c
+    adf = abs(df)
+    tb = b + b
+    ab = abs(tb)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        rt = adf * math.sqrt(1.0 + (ab / adf) ** 2)
+    elif adf < ab:
+        rt = ab * math.sqrt(1.0 + (adf / ab) ** 2)
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm < 0.0:
+        rt1 = 0.5 * (sm - rt)
+        sgn1 = -1
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    elif sm > 0.0:
+        rt1 = 0.5 * (sm + rt)
+        sgn1 = 1
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    else:
+        rt1 = 0.5 * rt
+        rt2 = -0.5 * rt
+        sgn1 = 1
+    if df >= 0.0:
+        cs = df + rt
+        sgn2 = 1
+    else:
+        cs = df - rt
+        sgn2 = -1
+    if abs(cs) > ab:
+        ct = -tb / cs
+        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
+        cs1 = ct * sn1
+    elif ab == 0.0:
+        cs1, sn1 = 1.0, 0.0
+    else:
+        tn = -cs / tb
+        cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
+        sn1 = tn * cs1
+    if sgn1 == sgn2:
+        cs1, sn1 = -sn1, cs1
+    return rt1, rt2, cs1, sn1
+
+
+def _ql(d, e, z):
+    """Implicit-shift QL on the tridiagonal (d, e), in place.
+
+    d ends as the eigenvalues.  When z is not None its rows (the columns of
+    the accumulated transform) are rotated along and end as eigenvectors.
+    """
+    n = len(d)
+    tst1 = 0.0
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and tst1 + abs(e[m]) != tst1:
+                m += 1
+            if m == l:
+                break
+            if m == l + 1:
+                rt1, rt2, cs, sn = _eig2(d[l], e[l], d[l + 1])
+                d[l], d[l + 1] = rt1, rt2
+                e[l] = 0.0
+                if z is not None:
+                    zl, zr = z[l], z[l + 1]
+                    z[l] = [cs * x + sn * y for x, y in zip(zl, zr)]
+                    z[l + 1] = [cs * y - sn * x for x, y in zip(zl, zr)]
+                break
+            if iterations == MAX_QL_ITERATIONS:
+                raise ConvergenceError(
+                    f"QL iteration did not converge in {MAX_QL_ITERATIONS} steps"
+                )
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if z is not None:
+                    zi, zj = z[i], z[i + 1]
+                    z[i + 1] = [s * x + c * y for x, y in zip(zi, zj)]
+                    z[i] = [c * x - s * y for x, y in zip(zi, zj)]
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+
+
+def _eigh(matrix, want_vectors=False):
+    """Eigenvalues (unsorted) of a real symmetric matrix, and, when
+    want_vectors is set, v with the matching unit eigenvectors as columns."""
     n = len(matrix)
-    a = [[float(matrix[i][j]) for j in range(n)] for i in range(n)]
-    for row in a:
-        if len(row) != n:
-            raise PreconditionError("matrix must be square")
+    if any(len(row) != n for row in matrix):
+        raise PreconditionError("matrix must be square")
+    a = [[float(x) for x in row] for row in matrix]
     for i in range(n):
         for j in range(i + 1, n):
             if abs(a[i][j] - a[j][i]) > SYMMETRY_TOL:
                 raise PreconditionError(f"matrix not symmetric at ({i},{j})")
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
-    if n == 1:
-        return [a[0][0]], v
-
-    off0 = _off_norm(a, n)
-    if off0 == 0.0:
-        return [a[i][i] for i in range(n)], v
-    target = OFF_DIAGONAL_TARGET * off0
-
-    for _ in range(MAX_SWEEPS):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip, aiq = a[i][p], a[i][q]
-                        a[i][p] = a[p][i] = c * aip - s * aiq
-                        a[i][q] = a[q][i] = s * aip + c * aiq
-                if want_vectors:
-                    for i in range(n):
-                        vip, viq = v[i][p], v[i][q]
-                        v[i][p] = c * vip - s * viq
-                        v[i][q] = s * vip + c * viq
-        if _off_norm(a, n) < target:
-            return [a[i][i] for i in range(n)], v
-    raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
+    if n == 0:
+        return [], ([] if want_vectors else None)
+    d, e, reflectors = _tridiagonalize(a)
+    z = None
+    if want_vectors:
+        # z = P_2 ... P_(n-1) = Q^T for the step-i reflectors P_i, so its
+        # rows are the columns of Q in A = Q T Q^T
+        z = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        for u, h in reversed(reflectors):
+            i = len(u)
+            for r in z[:i]:
+                g = sum(map(mul, r, u)) / h
+                r[:i] = [x - g * y for x, y in zip(r, u)]
+    _ql(d, e, z)
+    v = [list(col) for col in zip(*z)] if want_vectors else None
+    return d, v
 
 
 def sym_eig(matrix):
     """Eigenvalues of a real symmetric matrix, sorted ascending."""
-    vals, _ = _jacobi(matrix)
+    vals, _ = _eigh(matrix)
     return tuple(sorted(vals))
 
 
 def sym_eig_vectors(matrix):
     """Eigenvalues ascending plus matching unit eigenvectors (as row tuples)."""
-    vals, v = _jacobi(matrix, want_vectors=True)
+    vals, v = _eigh(matrix, want_vectors=True)
     n = len(vals)
     order = sorted(range(n), key=lambda i: vals[i])
     vectors = tuple(tuple(v[i][j] for i in range(n)) for j in order)
@@ -130,8 +262,6 @@ def lambda_second(obj) -> float:
 
 def rho_vertex_deleted(g: Graph) -> float:
     """Largest spectral radius over all single-vertex deletions."""
-    from .graphs import delete_vertex
-
     if not is_connected(g):
         raise PreconditionError("vertex-deletion radius requires a connected graph")
     if g.n < 2:
@@ -167,8 +297,8 @@ class WeakestEdgeReport:
 
 
 def weakest_edges(g: Graph, tie_tol: float = TIE_TOL) -> WeakestEdgeReport:
-    from .graphs import delete_edge
-
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise PreconditionError(f"tie tolerance must be finite and non-negative, got {tie_tol}")
     if not is_connected(g):
         raise PreconditionError("weakest edges require a connected graph")
     if g.m < 2:

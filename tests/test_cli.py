@@ -41,6 +41,14 @@ def test_multiplicity_k3_exits_2(capsys, p3_file):
     assert err.strip() == "precondition failure: k=3 multiplicity not provided by the method"
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_weakest_edges_bad_tol_exits_2(capsys, p3_file, tol):
+    code, out, err = _run(capsys, ["weakest-edges", "--graph", p3_file, "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition failure: tie tolerance")
+
+
 def test_multiplicity_values_as_strings(capsys, k3_file):
     code, out, _ = _run(capsys, ["multiplicity", "--graph", k3_file, "--k", "4"])
     assert code == 0

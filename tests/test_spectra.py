@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from powerhyper import (
     sym_eig_vectors,
     weakest_edges,
 )
-from powerhyper.graphs import adjacency_matrix
+from powerhyper.graphs import adjacency_matrix, signed_adjacency_matrix
 
 from _corpus import C4, C6, K2, K3, P3, all_signings, connected_graphs
 
@@ -47,6 +48,113 @@ def test_sym_eig_zero_matrix():
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(PreconditionError):
         sym_eig([[0, 1], [0.5, 0]])
+
+
+def test_sym_eig_rejects_non_square():
+    with pytest.raises(PreconditionError):
+        sym_eig([[0, 1, 5], [1, 0, 7]])
+    with pytest.raises(PreconditionError):
+        sym_eig([[0, 1], [1]])
+
+
+def test_sym_eig_two_by_two_exact():
+    assert sym_eig([[0, 1], [1, 0]]) == (-1.0, 1.0)
+    assert sym_eig([[2, 0], [0, 2]]) == (2.0, 2.0)
+
+
+def _random_symmetric(rng, n):
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.uniform(-1.0, 1.0)
+    return a
+
+
+def _frobenius(a):
+    return math.sqrt(sum(x * x for row in a for x in row))
+
+
+def _assert_matches_eigvalsh(np, a):
+    tol = 1e-12 * max(1.0, _frobenius(a))
+    ref = np.linalg.eigvalsh(np.array(a, dtype=float))
+    got = sym_eig(a)
+    assert max(abs(x - y) for x, y in zip(got, ref)) <= tol
+
+
+def test_sym_eig_matches_numpy_random():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(20251018)
+    for n in range(1, 31):
+        for _ in range(3):
+            _assert_matches_eigvalsh(np, _random_symmetric(rng, n))
+
+
+def test_sym_eig_matches_numpy_on_signed_graphs():
+    np = pytest.importorskip("numpy")
+    for g in connected_graphs(5):
+        for sg in all_signings(g):
+            _assert_matches_eigvalsh(np, signed_adjacency_matrix(sg))
+
+
+def test_sym_eig_matches_numpy_on_small_integer_matrices():
+    # small integer entries give repeated eigenvalues and exactly decoupled
+    # blocks, the cases where the QL splitting and 2x2 steps do the work
+    np = pytest.importorskip("numpy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def symmetric(draw):
+        n = draw(st.integers(1, 12))
+        size = n * (n + 1) // 2
+        it = iter(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = next(it)
+        return a
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(symmetric())
+    def check(a):
+        _assert_matches_eigvalsh(np, a)
+
+    check()
+
+
+def test_sym_eig_vectors_match_numpy_eigh():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(7)
+    for n in (1, 2, 5, 17, 30):
+        a = _random_symmetric(rng, n)
+        tol = 1e-12 * max(1.0, _frobenius(a))
+        vals, vecs = sym_eig_vectors(a)
+        ref_vals, ref_vecs = np.linalg.eigh(np.array(a))
+        assert max(abs(x - y) for x, y in zip(vals, ref_vals)) <= tol
+        # the random spectra are simple, so each vector is fixed up to sign
+        for j, vec in enumerate(vecs):
+            overlap = abs(float(np.dot(ref_vecs[:, j], vec)))
+            assert abs(overlap - 1.0) <= 1e-9
+
+
+def test_sym_eig_vectors_reconstruct_and_orthonormal_n28():
+    rng = random.Random(28)
+    n = 28
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 4.0 / n:
+                a[i][j] = a[j][i] = 1
+    tol = 1e-12 * max(1.0, _frobenius(a))
+    vals, vecs = sym_eig_vectors(a)
+    for lam, vec in zip(vals, vecs):
+        for i in range(n):
+            image = sum(a[i][j] * vec[j] for j in range(n))
+            assert abs(image - lam * vec[i]) <= tol
+    for p in range(n):
+        for q in range(p, n):
+            dot = sum(x * y for x, y in zip(vecs[p], vecs[q]))
+            assert abs(dot - (1.0 if p == q else 0.0)) <= tol
 
 
 def test_sym_eig_vectors_reconstruct():
@@ -96,6 +204,13 @@ def test_weakest_edges_cycle():
     rep = weakest_edges(C4)
     assert abs(rep.rho - GOLDEN) < 1e-9
     assert len(rep.edges) == 4 and all(d == 1 for _, d in rep.edges)
+
+
+def test_weakest_edges_rejects_bad_tie_tolerance():
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(PreconditionError):
+            weakest_edges(P3, tie_tol=tol)
+    assert len(weakest_edges(P3, tie_tol=0.0).edges) == 2
 
 
 def test_weakest_edges_needs_two_edges():
