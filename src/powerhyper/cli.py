@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import PowerhyperError
+from .errors import PowerhyperError, PreconditionError
 from .graphs import Graph, classify, is_connected, parse_edge_list
 from .oracle import brute_count_second_eigenvectors, power_iteration_radius
 from .power import (
@@ -194,6 +195,10 @@ def _cmd_moments(args):
 
 def _cmd_eigvec(args):
     g = _load_graph(args.graph)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise PreconditionError(
+            f"residual tolerance must be finite and non-negative, got {args.tol}"
+        )
     rep = weakest_edges(g)
     h = build_power(g, args.k)
     entries = []

@@ -292,19 +292,49 @@ def connected_edge_subsets(g: Graph, max_edges: int) -> list:
     """All nonempty edge-index subsets, of size <= max_edges, spanning a connected subgraph.
 
     Subsets are returned as sorted index tuples in ascending bitmask order,
-    each exactly once.
+    each exactly once.  They are grown by extension over edge adjacency (two
+    edges are adjacent when they share an endpoint), so the cost is
+    output-sensitive: O(m) work per subset returned, plus one sort, where a
+    scan of all 2^m masks would pay for every subset of any size.
     """
     if max_edges < 1:
         raise PreconditionError("max_edges must be >= 1")
     if g.m > 20:
         raise PreconditionError("edge subset enumeration capped at 20 edges")
+    incident = [sum(1 << i for _, i in row) for row in adjacency_lists(g)]
+    neighbours = [(incident[u] | incident[v]) ^ (1 << i) for i, (u, v) in enumerate(g.edges)]
+    return [
+        tuple(i for i in range(g.m) if mask >> i & 1)
+        for mask in _connected_sets(neighbours, max_edges)
+    ]
+
+
+def _connected_sets(neighbours, max_size):
+    """Every connected set of 1..max_size elements, as bitmasks in ascending order.
+
+    neighbours[i] is the bitmask of the elements adjacent to element i.  This
+    is ESU-style extension (Wernicke, "Efficient detection of network
+    motifs", 2006): a set is grown from its smallest element, its root, and
+    only by elements above the root that are neither in the set nor adjacent
+    to it when they are offered, so each set is produced exactly once.
+    """
     out = []
-    for mask in range(1, 1 << g.m):
-        idxs = [i for i in range(g.m) if mask >> i & 1]
-        if len(idxs) > max_edges:
-            continue
-        if _edges_span_connected(g, idxs):
-            out.append(tuple(idxs))
+    for root, root_nbrs in enumerate(neighbours):
+        above = -1 << (root + 1)
+        stack = [(1 << root, (1 << root) | root_nbrs, root_nbrs & above, 1)]
+        while stack:
+            members, closed, ext, size = stack.pop()
+            out.append(members)
+            if size == max_size:
+                continue
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                nbrs = neighbours[bit.bit_length() - 1]
+                stack.append(
+                    (members | bit, closed | nbrs, ext | (nbrs & ~closed & above), size + 1)
+                )
+    out.sort()
     return out
 
 

@@ -38,8 +38,8 @@ def power_iteration_radius(
     spectral radius, and the gap shrinks monotonically.  Stops when the gap
     drops below tol.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol must be finite and positive, got {tol}")
     if not is_connected(h.base):
         raise PreconditionError("power iteration requires a connected hypergraph")
     inc = _incidence(h)

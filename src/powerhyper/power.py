@@ -20,6 +20,8 @@ from .errors import InternalInconsistencyError, PreconditionError
 from .graphs import (
     Graph,
     GraphClass,
+    _connected_sets,
+    adjacency_lists,
     classify,
     connected_edge_subsets,
     delete_edge,
@@ -175,17 +177,12 @@ def _spectrum_subgraphs(g, induced):
         for idxs in connected_edge_subsets(g, g.m):
             yield edge_subgraph(g, idxs)[0]
         return
-    for mask in range(1, 1 << g.n):
-        verts = {v for v in range(g.n) if mask >> v & 1}
-        idxs = [i for i, (u, v) in enumerate(g.edges) if u in verts and v in verts]
-        if not idxs:
-            continue
-        touched = {v for i in idxs for v in g.edges[i]}
-        if touched != verts:
-            continue
-        sub, _ = edge_subgraph(g, idxs)
-        if is_connected(sub):
-            yield sub
+    # connected induced subgraphs with an edge: the connected vertex sets of size >= 2
+    neighbours = [sum(1 << w for w, _ in row) for row in adjacency_lists(g)]
+    for mask in _connected_sets(neighbours, g.n):
+        if mask & (mask - 1):
+            idxs = [i for i, (u, v) in enumerate(g.edges) if mask >> u & 1 and mask >> v & 1]
+            yield edge_subgraph(g, idxs)[0]
 
 
 def am_spectral_radius(g: Graph, k: int) -> int:

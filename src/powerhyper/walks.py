@@ -17,7 +17,13 @@ from itertools import product
 from operator import mul
 
 from .errors import PreconditionError
-from .graphs import Graph, adjacency_lists, is_connected
+from .graphs import (
+    Graph,
+    adjacency_lists,
+    adjacency_matrix,
+    is_connected,
+    spanning_tree_edges,
+)
 
 PARITY_EDGE_CAP = 20
 COVERING_EDGE_CAP = 10
@@ -124,22 +130,26 @@ def _pow_trace(a, d):
 def signed_moment_average(g: Graph, d: int) -> Fraction:
     """Average of trace(A^d) over all 2^m signings of g, exactly.
 
-    Enumerates every sign pattern and takes integer matrix powers; the
-    result is returned as an exact rational (it is integral whenever the
+    A switching D A D leaves trace(A^d) unchanged, and each switching class
+    has 2^(n-c) members (c components), exactly one of which is +1 on the
+    spanning forest.  So the forest is fixed to +1 and only the 2^(m-n+c)
+    patterns of the other edges are enumerated, each by integer matrix
+    powers; the result is an exact rational (integral whenever the
     parity-walk identity applies).
     """
     if d < 1:
         raise PreconditionError("moment order must be >= 1")
     if g.m > SIGNED_EDGE_CAP:
         raise PreconditionError(f"signing enumeration capped at {SIGNED_EDGE_CAP} edges")
-    n = g.n
+    forest = set(spanning_tree_edges(g))
+    free = [e for i, e in enumerate(g.edges) if i not in forest]
+    a = adjacency_matrix(g)
     total = 0
-    base = [[0] * n for _ in range(n)]
-    for signs in product((1, -1), repeat=g.m):
-        for (u, v), s in zip(g.edges, signs):
-            base[u][v] = base[v][u] = s
-        total += _pow_trace(base, d)
-    return Fraction(total, 1 << g.m)
+    for signs in product((1, -1), repeat=len(free)):
+        for (u, v), s in zip(free, signs):
+            a[u][v] = a[v][u] = s
+        total += _pow_trace(a, d)
+    return Fraction(total, 1 << len(free))
 
 
 def walk_ratio_series(g: Graph, ell_max: int) -> list:

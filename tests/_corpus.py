@@ -124,6 +124,21 @@ def connected_graphs(max_n, min_n=2, max_edges=None, min_edges=None):
     return tuple(out)
 
 
+def random_graphs(st, max_n, max_edges):
+    """Hypothesis strategy: simple graphs on 1..max_n vertices, connected or not."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, max_n))
+        pairs = _pairs(n)
+        if not pairs:
+            return Graph(n, ())
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+        return Graph(n, tuple(edges))
+
+    return build()
+
+
 def all_signings(g):
     """Every sign assignment over the edges of g."""
     from powerhyper import SignedGraph

@@ -49,6 +49,22 @@ def test_weakest_edges_bad_tol_exits_2(capsys, p3_file, tol):
     assert err.startswith("precondition failure: tie tolerance")
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_eigvec_bad_tol_exits_2(capsys, p3_file, tol):
+    code, out, err = _run(capsys, ["eigvec", "--graph", p3_file, "--k", "4", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition failure: residual tolerance")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_oracle_bad_tol_exits_2(capsys, p3_file, tol):
+    code, out, err = _run(capsys, ["oracle", "--graph", p3_file, "--k", "4", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition failure: tol must be finite and positive")
+
+
 def test_multiplicity_values_as_strings(capsys, k3_file):
     code, out, _ = _run(capsys, ["multiplicity", "--graph", k3_file, "--k", "4"])
     assert code == 0

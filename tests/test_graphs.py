@@ -22,7 +22,7 @@ from powerhyper import (
 )
 from powerhyper.graphs import adjacency_lists, spanning_tree_edges
 
-from _corpus import C4, K3, K4, P3, all_signings, connected_graphs
+from _corpus import C4, K3, K4, P3, all_signings, connected_graphs, random_graphs
 
 
 def test_parse_path():
@@ -192,6 +192,25 @@ def test_connected_edge_subsets_k4_matches_bruteforce():
     ]
     assert sorted(subsets) == sorted(expected)
     assert len(subsets) == len(set(subsets))
+
+
+def test_connected_edge_subsets_match_mask_scan():
+    # the exact list, order included, for every size bound
+    hypothesis = pytest.importorskip("hypothesis")
+    from powerhyper.graphs import _edges_span_connected
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(random_graphs(hypothesis.strategies, 9, 12))
+    @hypothesis.example(Graph(8, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))))
+    def check(g):
+        scan = [
+            tuple(i for i in range(g.m) if mask >> i & 1) for mask in range(1, 1 << g.m)
+        ]
+        connected = [idxs for idxs in scan if _edges_span_connected(g, idxs)]
+        for s in range(1, g.m + 1):
+            assert connected_edge_subsets(g, s) == [c for c in connected if len(c) <= s]
+
+    check()
 
 
 def test_delete_edge_and_components():

@@ -27,6 +27,12 @@ def test_path_and_triangle_values():
     assert abs(t2.converged_value - 2 ** (2 / 3)) < 1e-7
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_power_iteration_rejects_bad_tol(tol):
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        power_iteration_radius(build_power(P3, 4), tol=tol)
+
+
 def test_bounds_sandwich_and_narrow():
     trace = power_iteration_radius(build_power(K3, 4), tol=1e-9)
     lows = [b[0] for b in trace.bounds]

@@ -22,6 +22,10 @@ from powerhyper import (
     weakest_edges,
 )
 
+from powerhyper import power
+from powerhyper.graphs import _edges_span_connected, edge_subgraph, is_connected
+from powerhyper.power import _spectrum_subgraphs
+
 from _corpus import C4, K2, K3, K4, P3, P4, connected_graphs
 
 SQRT2 = math.sqrt(2.0)
@@ -79,6 +83,34 @@ def test_eigenvalue_moduli_examples():
     assert got == pytest.approx((2 ** 0.25, 1.0), abs=1e-9)
     assert eigenvalue_moduli(K2, 4) == pytest.approx((1.0,), abs=1e-12)
     assert eigenvalue_moduli(K3, 4) == pytest.approx((SQRT2, 2 ** 0.25, 1.0), abs=1e-9)
+
+
+def _mask_scan_subgraphs(g, induced):
+    # brute-force reference: scan every vertex mask (induced) or edge mask
+    if induced:
+        for mask in range(1, 1 << g.n):
+            idxs = [i for i, (u, v) in enumerate(g.edges) if mask >> u & 1 and mask >> v & 1]
+            if not idxs:
+                continue
+            sub, _ = edge_subgraph(g, idxs)
+            if sub.n == bin(mask).count("1") and is_connected(sub):
+                yield sub
+    else:
+        for mask in range(1, 1 << g.m):
+            idxs = [i for i in range(g.m) if mask >> i & 1]
+            if _edges_span_connected(g, idxs):
+                yield edge_subgraph(g, idxs)[0]
+
+
+def test_eigenvalue_moduli_match_mask_scan(monkeypatch):
+    graphs = connected_graphs(6, max_edges=8)
+    for g in graphs:
+        for induced in (True, False):
+            assert list(_spectrum_subgraphs(g, induced)) == list(_mask_scan_subgraphs(g, induced))
+    got = {(g, k): eigenvalue_moduli(g, k) for g in graphs for k in (3, 4)}
+    monkeypatch.setattr(power, "_spectrum_subgraphs", _mask_scan_subgraphs)
+    for (g, k), moduli in got.items():
+        assert eigenvalue_moduli(g, k) == moduli
 
 
 def test_moduli_identity_with_radius_and_second():

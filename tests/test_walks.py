@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from powerhyper import (
@@ -11,7 +13,9 @@ from powerhyper import (
     walk_ratio_series,
 )
 
-from _corpus import C4, K2, K3, P3, connected_graphs
+from powerhyper.graphs import signed_adjacency_matrix
+
+from _corpus import C4, K2, K3, P3, all_signings, connected_graphs, random_graphs
 
 
 def test_parity_examples():
@@ -63,6 +67,33 @@ def test_parity_equals_signed_average_small():
             avg = signed_moment_average(g, d)
             assert avg.denominator == 1
             assert parity_closed_walks(g, d) == avg
+
+
+def test_signed_moment_average_matches_every_signing():
+    # the full 2^m average; forests, isolated vertices and several
+    # components are where fixing the signs on a spanning forest can slip
+    hypothesis = pytest.importorskip("hypothesis")
+    d_max = 8
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(random_graphs(hypothesis.strategies, 7, 8))
+    @hypothesis.example(Graph(6, ((0, 1), (1, 2), (3, 4))))
+    @hypothesis.example(Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))))
+    @hypothesis.example(Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))))
+    def check(g):
+        totals = [0] * d_max
+        for sg in all_signings(g):
+            a = signed_adjacency_matrix(sg)
+            cols = list(zip(*a))
+            power = a
+            for d in range(1, d_max + 1):
+                if d > 1:
+                    power = [[sum(x * y for x, y in zip(row, c)) for c in cols] for row in power]
+                totals[d - 1] += sum(power[i][i] for i in range(g.n))
+        for d in range(1, d_max + 1):
+            assert signed_moment_average(g, d) == Fraction(totals[d - 1], 2**g.m)
+
+    check()
 
 
 def test_parity_decomposes_into_covering_counts():
