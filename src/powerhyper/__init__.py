@@ -43,7 +43,6 @@ from .spectra import (
     lambda_min,
     lambda_second,
     perron_pair,
-    rho_edge_deleted,
     rho_unbalanced,
     rho_vertex_deleted,
     spectral_radius,

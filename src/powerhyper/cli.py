@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
-from .errors import PowerhyperError, PreconditionError
+from .errors import PowerhyperError
 from .graphs import Graph, classify, is_connected, parse_edge_list
 from .oracle import brute_count_second_eigenvectors, power_iteration_radius
 from .power import (
+    _check_residual_tol,
     am_second_from_moments,
     am_second_modulus,
     am_spectral_radius,
@@ -104,9 +105,8 @@ def _parse_mu(text):
         raise _UsageError(f"cannot parse complex number {text!r}") from None
 
 
-def _cmd_analyze(args):
-    g = _load_graph(args.graph)
-    results = {
+def _cmd_analyze(g, args):
+    return {
         "class": classify(g).value,
         "rho": spectral_radius(g),
         "lambda_2": lambda_second(g) if g.n >= 2 else None,
@@ -115,42 +115,36 @@ def _cmd_analyze(args):
         "rho_edge_deleted": weakest_edges(g).rho if g.m >= 2 else None,
         "rho_unbalanced": rho_unbalanced(g),
     }
-    return g, results
 
 
-def _cmd_lambda(args):
-    g = _load_graph(args.graph)
-    results = {
+def _cmd_lambda(g, args):
+    return {
         "lambda": second_largest_modulus(g, args.k),
         "k": args.k,
         "candidates": second_modulus_candidates(g, args.k),
         "rho_power": power_spectral_radius(g, args.k),
     }
-    return g, results
 
 
-def _cmd_weakest_edges(args):
-    g = _load_graph(args.graph)
+def _cmd_weakest_edges(g, args):
     rep = weakest_edges(g, tie_tol=args.tol)
-    results = {
+    return {
         "rho_edge_deleted": rep.rho,
         "edges": [{"edge": list(e), "delta": d} for e, d in rep.edges],
         "rho_per_edge": {_edge_key(e): r for e, r in sorted(rep.rho_per_edge.items())},
         "n_pendant": rep.n_pendant,
         "n_internal": rep.n_internal,
     }
-    return g, results
 
 
-def _cmd_multiplicity(args):
-    g = _load_graph(args.graph)
+def _cmd_multiplicity(g, args):
     rep = am_second_modulus(g, args.k)
-    results = {
+    return {
         "k": args.k,
         "am_radius": rep.am_radius,
         "am_second": rep.am_second,
         "variety_size": rep.variety_size,
-        "variety_total": rep.variety_total,
+        "variety_total": rep.am_second,
         "per_edge": {
             _edge_key(e): {
                 "delta": ec.delta,
@@ -161,7 +155,6 @@ def _cmd_multiplicity(args):
             for e, ec in sorted(rep.per_edge.items())
         },
     }
-    return g, results
 
 
 def _moment_rows(g, k, ell_max):
@@ -177,28 +170,27 @@ def _moment_rows(g, k, ell_max):
     return rows
 
 
-def _cmd_moments(args):
-    g = _load_graph(args.graph)
+def _write_csv(path, columns, rows):
+    """One line per row; None is written as an empty field, anything else by str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join("" if row[c] is None else str(row[c]) for c in columns) + "\n")
+
+
+def _cmd_moments(g, args):
     rows = _moment_rows(g, args.k, args.ell)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("ell,d,moment,estimate\n")
-            for row in rows:
-                est = "" if row["estimate"] is None else str(row["estimate"])
-                fh.write(f"{row['ell']},{row['d']},{row['moment']},{est}\n")
+        _write_csv(args.csv, ("ell", "d", "moment", "estimate"), rows)
     results = {"k": args.k, "rows": rows}
     if args.k >= 4 and g.m >= 2:
         results["am_second_exact"] = am_second_modulus(g, args.k).am_second
         results["am_radius"] = am_spectral_radius(g, args.k)
-    return g, results
+    return results
 
 
-def _cmd_eigvec(args):
-    g = _load_graph(args.graph)
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise PreconditionError(
-            f"residual tolerance must be finite and non-negative, got {args.tol}"
-        )
+def _cmd_eigvec(g, args):
+    _check_residual_tol(args.tol)
     rep = weakest_edges(g)
     h = build_power(g, args.k)
     entries = []
@@ -215,12 +207,10 @@ def _cmd_eigvec(args):
                 "zero_support": [i for i, v in enumerate(pair.vector) if v == 0.0],
             }
         )
-    results = {"k": args.k, "n_vertices": h.n_vertices, "eigenvectors": entries}
-    return g, results
+    return {"k": args.k, "n_vertices": h.n_vertices, "eigenvectors": entries}
 
 
-def _cmd_walks(args):
-    g = _load_graph(args.graph)
+def _cmd_walks(g, args):
     results = {
         "d": args.d,
         "parity": parity_closed_walks(g, args.d),
@@ -247,19 +237,14 @@ def _cmd_walks(args):
         results["ratio_rows"] = rows
         results["ratio_limit"] = 2.0 ** (g.n - g.m)
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("ell,length,covering,ratio\n")
-                for row in rows:
-                    fh.write(
-                        f"{row['ell']},{row['length']},{row['covering']},{row['ratio']!r}\n"
-                    )
-    return g, results
+            _write_csv(args.csv, ("ell", "length", "covering", "ratio"), rows)
+    return results
 
 
-def _cmd_variety(args):
+def _cmd_variety(g, args):
     sys_ = LinkSystem(k=args.k, delta=args.delta, mu=_parse_mu(args.mu))
     rep = solve_link_variety(sys_)
-    results = {
+    return {
         "k": args.k,
         "delta": args.delta,
         "mu": sys_.mu,
@@ -275,11 +260,9 @@ def _cmd_variety(args):
             else None
         ),
     }
-    return None, results
 
 
-def _cmd_oracle(args):
-    g = _load_graph(args.graph)
+def _cmd_oracle(g, args):
     h = build_power(g, args.k)
     trace = power_iteration_radius(h, tol=args.tol)
     results = {
@@ -298,48 +281,58 @@ def _cmd_oracle(args):
     except PowerhyperError as exc:
         results["brute_second_count"] = None
         results["brute_skip_reason"] = str(exc)
-    return g, results
+    return results
 
 
+# name -> (handler, help, whether it reads --graph,
+#          (flag, add_argument keywords) for each of its other flags but --json)
 _COMMANDS = {
-    "analyze": (_cmd_analyze, "graph-level spectral summary"),
-    "lambda": (_cmd_lambda, "second-largest eigenvalue modulus of the k-power hypergraph"),
-    "weakest-edges": (_cmd_weakest_edges, "edges whose removal lowers the radius the least"),
-    "multiplicity": (_cmd_multiplicity, "algebraic multiplicity of the second-largest modulus"),
-    "moments": (_cmd_moments, "spectral moments and the multiplicity estimate series"),
-    "eigvec": (_cmd_eigvec, "lifted eigenvectors for every weakest edge"),
-    "walks": (_cmd_walks, "parity-closed and covering walk counts"),
-    "variety": (_cmd_variety, "local polynomial system solution counts"),
-    "oracle": (_cmd_oracle, "tensor power iteration and brute-force eigenvector counts"),
+    "analyze": (_cmd_analyze, "graph-level spectral summary", True),
+    "lambda": (_cmd_lambda, "second-largest eigenvalue modulus of the k-power hypergraph", True,
+        ("--k", dict(type=int, required=True, help="hyperedge size")),
+    ),
+    "weakest-edges": (_cmd_weakest_edges, "edges whose removal lowers the radius the least", True,
+        ("--tol", dict(type=float, default=1e-9, help="tie tolerance")),
+    ),
+    "multiplicity": (_cmd_multiplicity, "algebraic multiplicity of the second-largest modulus", True,
+        ("--k", dict(type=int, required=True, help="hyperedge size")),
+    ),
+    "moments": (_cmd_moments, "spectral moments and the multiplicity estimate series", True,
+        ("--k", dict(type=int, required=True, help="hyperedge size")),
+        ("--ell", dict(type=int, default=8, help="series length")),
+        ("--csv", dict(help="also write the series as CSV")),
+    ),
+    "eigvec": (_cmd_eigvec, "lifted eigenvectors for every weakest edge", True,
+        ("--k", dict(type=int, required=True, help="hyperedge size")),
+        ("--tol", dict(type=float, default=1e-10, help="residual tolerance")),
+    ),
+    "walks": (_cmd_walks, "parity-closed and covering walk counts", True,
+        ("--d", dict(type=int, required=True, help="walk length")),
+        ("--ell", dict(type=int, default=0, help="ratio series length")),
+        ("--csv", dict(help="write the ratio series as CSV")),
+    ),
+    "variety": (_cmd_variety, "local polynomial system solution counts", False,
+        ("--k", dict(type=int, required=True, help="hyperedge size")),
+        ("--mu", dict(default="1", help="nonzero complex parameter")),
+        ("--delta", dict(type=int, choices=(0, 1), default=1)),
+    ),
+    "oracle": (_cmd_oracle, "tensor power iteration and brute-force eigenvector counts", True,
+        ("--k", dict(type=int, required=True, help="hyperedge size")),
+        ("--tol", dict(type=float, default=1e-8, help="iteration gap target")),
+    ),
 }
 
 
+@cache
 def _build_parser():
     parser = _Parser(prog="powerhyper", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, help_text) in _COMMANDS.items():
+    for name, (_fn, help_text, takes_graph, *flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "variety":
+        if takes_graph:
             p.add_argument("--graph", required=True, help="edge-list file")
-        if name in ("lambda", "multiplicity", "moments", "eigvec", "oracle", "variety"):
-            p.add_argument("--k", type=int, required=True, help="hyperedge size")
-        if name == "walks":
-            p.add_argument("--d", type=int, required=True, help="walk length")
-        if name == "moments":
-            p.add_argument("--ell", type=int, default=8, help="series length")
-            p.add_argument("--csv", help="also write the series as CSV")
-        if name == "walks":
-            p.add_argument("--ell", type=int, default=0, help="ratio series length")
-            p.add_argument("--csv", help="write the ratio series as CSV")
-        if name == "variety":
-            p.add_argument("--mu", default="1", help="nonzero complex parameter")
-            p.add_argument("--delta", type=int, choices=(0, 1), default=1)
-        if name == "weakest-edges":
-            p.add_argument("--tol", type=float, default=1e-9, help="tie tolerance")
-        elif name == "eigvec":
-            p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-        elif name == "oracle":
-            p.add_argument("--tol", type=float, default=1e-8, help="iteration gap target")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         p.add_argument("--json", help="also write the report to this path")
     return parser
 
@@ -354,7 +347,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     fn = _COMMANDS[args.command][0]
     try:
-        graph, results = fn(args)
+        graph = _load_graph(args.graph) if "graph" in args else None
+        results = fn(graph, args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

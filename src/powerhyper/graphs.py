@@ -15,6 +15,9 @@ from functools import lru_cache
 
 from .errors import GraphParseError, PreconditionError
 
+# Entry bound shared by every memo in the package.
+CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -142,7 +145,7 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def adjacency_lists(g: Graph) -> tuple:
     """Neighbour lists as a tuple of tuples of (neighbour, edge index)."""
     adj = [[] for _ in range(g.n)]

@@ -12,7 +12,13 @@ from itertools import product
 
 from .errors import ConvergenceError, PreconditionError
 from .graphs import Graph, is_connected
-from .power import PowerHypergraph, _incidence, eigen_residual, lift_eigenvector
+from .power import (
+    PowerHypergraph,
+    _check_residual_tol,
+    _tensor_apply,
+    eigen_residual,
+    lift_eigenvector,
+)
 from .spectra import weakest_edges
 
 BRUTE_VERTEX_CAP = 12
@@ -42,23 +48,12 @@ def power_iteration_radius(
         raise PreconditionError(f"tol must be finite and positive, got {tol}")
     if not is_connected(h.base):
         raise PreconditionError("power iteration requires a connected hypergraph")
-    inc = _incidence(h)
     km1 = h.k - 1
-    n = h.n_vertices
-    x = [1.0] * n
+    x = [1.0] * h.n_vertices
     bounds = []
     for it in range(1, max_iter + 1):
-        y = []
-        for i in range(n):
-            acc = 0.0
-            for he in inc[i]:
-                prod = 1.0
-                for j in he:
-                    if j != i:
-                        prod *= x[j]
-                acc += prod
-            y.append(acc)
-        ratios = [y[i] / x[i] ** km1 for i in range(n)]
+        y = _tensor_apply(h, x)
+        ratios = [a / b**km1 for a, b in zip(y, x)]
         lo, hi = min(ratios), max(ratios)
         bounds.append((lo, hi))
         if hi - lo < tol:
@@ -101,6 +96,7 @@ def brute_count_second_eigenvectors(g: Graph, k: int, tol: float = 1e-8) -> int:
     eigen-equations and the survivors are deduplicated projectively.
     Tiny instances only.
     """
+    _check_residual_tol(tol)
     h = PowerHypergraph(k, g)
     if h.n_vertices > BRUTE_VERTEX_CAP:
         raise PreconditionError(f"brute force capped at {BRUTE_VERTEX_CAP} vertices")

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .graphs import (
+    CACHE_SIZE,
     Graph,
     GraphClass,
     _connected_sets,
@@ -83,14 +84,14 @@ def build_power(g: Graph, k: int) -> PowerHypergraph:
     return PowerHypergraph(k, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _hyperedges(h: PowerHypergraph) -> tuple:
     return tuple(
         (u, v) + h.cores_of_edge(i) for i, (u, v) in enumerate(h.base.edges)
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _incidence(h: PowerHypergraph) -> tuple:
     inc = [[] for _ in range(h.n_vertices)]
     for he in _hyperedges(h):
@@ -214,7 +215,6 @@ class MultiplicityReport:
     am_radius: int
     am_second: int
     variety_size: int
-    variety_total: int
     per_edge: dict
 
 
@@ -257,7 +257,6 @@ def am_second_modulus(g: Graph, k: int) -> MultiplicityReport:
         am_radius=am_r,
         am_second=total,
         variety_size=size_total,
-        variety_total=total,
         per_edge=per_edge,
     )
 
@@ -265,9 +264,7 @@ def am_second_modulus(g: Graph, k: int) -> MultiplicityReport:
 def second_eigenvariety_count(g: Graph, k: int):
     """(distinct eigenvectors, total multiplicity) for the second-largest modulus."""
     rep = am_second_modulus(g, k)
-    if rep.variety_total != rep.am_second:
-        raise InternalInconsistencyError("eigenvector total disagrees with multiplicity")
-    return rep.variety_size, rep.variety_total
+    return rep.variety_size, rep.am_second
 
 
 def spectral_moment(g: Graph, k: int, d: int) -> int:
@@ -336,12 +333,11 @@ def am_second_from_moments(g: Graph, k: int, ell: int):
         raise PreconditionError("moment estimate needs at least two edges")
     s = spectral_moment(g, k, k * ell)
     top_count = k ** (g.m * (k - 3) + g.n)
-    rho_sq = _as_exact(spectral_radius(g) ** 2)
-    second_sq = _as_exact(weakest_edges(g).rho ** 2)
-    if rho_sq is not None and second_sq is not None:
-        return (Fraction(s) - top_count * rho_sq**ell) / second_sq**ell / k
     rho_sq = spectral_radius(g) ** 2
     second_sq = weakest_edges(g).rho ** 2
+    exact_rho_sq, exact_second_sq = _as_exact(rho_sq), _as_exact(second_sq)
+    if exact_rho_sq is not None and exact_second_sq is not None:
+        return (Fraction(s) - top_count * exact_rho_sq**ell) / exact_second_sq**ell / k
     return (s - top_count * rho_sq**ell) / second_sq**ell / k
 
 
@@ -354,28 +350,42 @@ class Eigenpair:
     residual: float
 
 
-def eigen_residual(h: PowerHypergraph, value, vector) -> float:
-    """max_i |sum over hyperedges at i of the product over the others - value*x_i^(k-1)|."""
-    if len(vector) != h.n_vertices:
-        raise PreconditionError(
-            f"vector length {len(vector)} != {h.n_vertices} vertices"
-        )
-    worst = 0.0
-    km1 = h.k - 1
+def _tensor_apply(h: PowerHypergraph, x) -> list:
+    """(A x^(k-1))_i for every vertex i: the sum over hyperedges at i of the
+    product of the other coordinates, multiplied in hyperedge order."""
+    out = []
     for i, hes in enumerate(_incidence(h)):
-        rhs = 0.0
+        acc = 0.0
         for he in hes:
             prod = 1.0
             for j in he:
                 if j != i:
-                    prod *= vector[j]
-            rhs += prod
-        worst = max(worst, abs(rhs - value * vector[i] ** km1))
-    return worst
+                    prod *= x[j]
+            acc += prod
+        out.append(acc)
+    return out
+
+
+def _check_residual_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(
+            f"residual tolerance must be finite and non-negative, got {tol}"
+        )
+
+
+def eigen_residual(h: PowerHypergraph, value, vector) -> float:
+    """max_i |(A x^(k-1))_i - value*x_i^(k-1)|."""
+    if len(vector) != h.n_vertices:
+        raise PreconditionError(
+            f"vector length {len(vector)} != {h.n_vertices} vertices"
+        )
+    km1 = h.k - 1
+    return max(abs(y - value * v**km1) for y, v in zip(_tensor_apply(h, vector), vector))
 
 
 def verify_eigenpair(h: PowerHypergraph, pair: Eigenpair, tol: float = 1e-10):
     """Check both eigen-equation families; returns (ok, residual)."""
+    _check_residual_tol(tol)
     r = eigen_residual(h, pair.value, pair.vector)
     return r <= tol, r
 

@@ -20,6 +20,7 @@ from operator import mul
 
 from .errors import ConvergenceError, InternalInconsistencyError, PreconditionError
 from .graphs import (
+    CACHE_SIZE,
     Graph,
     SignedGraph,
     adjacency_matrix,
@@ -231,7 +232,7 @@ def sym_eig_vectors(matrix):
     return tuple(vals[j] for j in order), vectors
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def spectrum(obj):
     """Adjacency spectrum of a Graph or SignedGraph, ascending."""
     if isinstance(obj, SignedGraph):
@@ -267,11 +268,6 @@ def rho_vertex_deleted(g: Graph) -> float:
     if g.n < 2:
         raise PreconditionError("vertex-deletion radius needs n >= 2")
     return max(spectral_radius(delete_vertex(g, v)[0]) for v in range(g.n))
-
-
-def rho_edge_deleted(g: Graph) -> float:
-    """Largest spectral radius over all single-edge deletions."""
-    return weakest_edges(g).rho
 
 
 @dataclass

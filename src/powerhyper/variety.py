@@ -72,16 +72,25 @@ def origin_multiplicity(k: int, delta: int) -> int:
     return bezout_total(k, delta) - nonzero_solution_count(k, delta)
 
 
+def _products_of_others(p) -> list:
+    """[prod_{j != i} p_j for each i], from prefix and suffix products in O(s)."""
+    out = []
+    acc = 1.0 + 0.0j
+    for v in p:
+        out.append(acc)
+        acc *= v
+    acc = 1.0 + 0.0j
+    for i in range(len(p) - 1, -1, -1):
+        out[i] *= acc
+        acc *= p[i]
+    return out
+
+
 def system_residual(sys: LinkSystem, p) -> float:
-    worst = 0.0
-    s = sys.size
-    for i in range(s):
-        prod_rest = 1.0 + 0.0j
-        for j in range(s):
-            if j != i:
-                prod_rest *= p[j]
-        worst = max(worst, abs(sys.mu * p[i] ** (sys.k - 1) - prod_rest))
-    return worst
+    if len(p) != sys.size:
+        raise PreconditionError("solution length does not match the system")
+    km1 = sys.k - 1
+    return max(abs(sys.mu * v**km1 - rest) for v, rest in zip(p, _products_of_others(p)))
 
 
 def solve_link_variety(sys: LinkSystem) -> VarietyReport:
@@ -142,22 +151,11 @@ def jacobian_nonsingular(sys: LinkSystem, p) -> bool:
     hence multiplicity one.  The origin always fails.
     """
     p = tuple(complex(v) for v in p)
-    if len(p) != sys.size:
-        raise PreconditionError("solution length does not match the system")
     if system_residual(sys, p) > 1e-9:
         raise PreconditionError("p does not solve the system")
-    s = sys.size
-    for i in range(s):
-        diag = abs((sys.k - 1) * sys.mu * p[i] ** (sys.k - 2))
-        off = 0.0
-        for j in range(s):
-            if j == i:
-                continue
-            prod_rest = 1.0 + 0.0j
-            for l in range(s):
-                if l != i and l != j:
-                    prod_rest *= p[l]
-            off += abs(prod_rest)
+    for i, v in enumerate(p):
+        diag = abs((sys.k - 1) * sys.mu * v ** (sys.k - 2))
+        off = sum(map(abs, _products_of_others(p[:i] + p[i + 1 :])))
         if diag <= off:
             return False
     return True

@@ -4,26 +4,29 @@ A parity-closed walk is a closed walk using every edge an even number of
 times; the covering variant must also touch every edge at least once.
 Counts are computed by dynamic programming over (vertex, per-edge parity
 bitmask) states, summed over all start vertices (the trace convention),
-with arbitrary-precision integers throughout.  DP state is cached per
-graph and extended on demand, so repeated queries at growing lengths
-reuse earlier steps.
+with arbitrary-precision integers throughout.  DP state is memoised per
+graph (at most CACHE_SIZE graphs, like every memo in the package) and
+extended on demand, so repeated queries at growing lengths reuse earlier steps.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
 from .errors import PreconditionError
 from .graphs import (
+    CACHE_SIZE,
     Graph,
     adjacency_lists,
     adjacency_matrix,
     is_connected,
     spanning_tree_edges,
 )
+from .spectra import spectral_radius
 
 PARITY_EDGE_CAP = 20
 COVERING_EDGE_CAP = 10
@@ -33,8 +36,8 @@ SIGNED_EDGE_CAP = 12
 class _WalkDP:
     """Per-start parity DP, optionally tracking the touched-edge mask.
 
-    State extension is guarded by a lock so the shared cache stays safe
-    under concurrent queries.
+    State extension is guarded by a lock, so one DP can serve concurrent
+    queries.
     """
 
     def __init__(self, g, covering):
@@ -78,8 +81,11 @@ class _WalkDP:
         return self.counts[d - 1]
 
 
-_parity_cache = {}
-_covering_cache = {}
+@lru_cache(maxsize=CACHE_SIZE)
+def _walk_dp(g: Graph, covering: bool) -> _WalkDP:
+    """The memoised DP of g.  The memo is thread-safe: lru_cache guards its
+    own table and each DP's lock guards its extension."""
+    return _WalkDP(g, covering)
 
 
 def parity_closed_walks(g: Graph, d: int) -> int:
@@ -90,10 +96,7 @@ def parity_closed_walks(g: Graph, d: int) -> int:
         raise PreconditionError(f"parity walk DP capped at {PARITY_EDGE_CAP} edges")
     if d % 2:
         return 0
-    dp = _parity_cache.get(g)
-    if dp is None:
-        dp = _parity_cache[g] = _WalkDP(g, covering=False)
-    return dp.count(d)
+    return _walk_dp(g, False).count(d)
 
 
 def covering_parity_closed_walks(g: Graph, d: int) -> int:
@@ -106,10 +109,7 @@ def covering_parity_closed_walks(g: Graph, d: int) -> int:
         raise PreconditionError(f"covering walk DP capped at {COVERING_EDGE_CAP} edges")
     if d % 2 or d < 2 * g.m:
         return 0
-    dp = _covering_cache.get(g)
-    if dp is None:
-        dp = _covering_cache[g] = _WalkDP(g, covering=True)
-    return dp.count(d)
+    return _walk_dp(g, True).count(d)
 
 
 def _mat_mul(a, b):
@@ -159,8 +159,6 @@ def walk_ratio_series(g: Graph, ell_max: int) -> list:
     returned as floats since the spectral radius is irrational in general;
     exact numerators come from covering_parity_closed_walks.
     """
-    from .spectra import spectral_radius
-
     if not is_connected(g):
         raise PreconditionError("ratio series requires a connected graph")
     if g.m < 1:

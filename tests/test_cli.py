@@ -1,8 +1,42 @@
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from powerhyper.cli import main
+from powerhyper.cli import _build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+GOLDEN_GRAPHS = {
+    "P3": "0 1\n1 2\n",
+    "K3": "0 1\n1 2\n2 0\n",
+    "C4": "0 1\n1 2\n2 3\n3 0\n",
+    "K13": "0 1\n0 2\n0 3\n",
+}
+_PER_GRAPH = {
+    "analyze": ["analyze"],
+    "lambda-k3": ["lambda", "--k", "3"],
+    "lambda-k4": ["lambda", "--k", "4"],
+    "weakest-edges": ["weakest-edges"],
+    "multiplicity": ["multiplicity", "--k", "4"],
+    "moments": ["moments", "--k", "4"],
+    "eigvec": ["eigvec", "--k", "4"],
+    "walks": ["walks", "--d", "6", "--ell", "4"],
+    "oracle-k3": ["oracle", "--k", "3"],
+    "oracle-k4": ["oracle", "--k", "4"],
+}
+GOLDEN_CASES = {
+    f"{g}-{label}": [argv[0], "--graph", g, *argv[1:]]
+    for g in GOLDEN_GRAPHS
+    for label, argv in _PER_GRAPH.items()
+    # C4 at k = 4 brute-forces 4^8 phases per weakest edge (about 25 s)
+    if (g, label) != ("C4", "oracle-k4")
+}
+GOLDEN_CASES["variety-k4-delta1"] = ["variety", "--k", "4", "--delta", "1", "--mu", "1+1i"]
+GOLDEN_CASES["variety-k5-delta0"] = ["variety", "--k", "5", "--delta", "0"]
 
 
 @pytest.fixture
@@ -80,6 +114,41 @@ def test_walks_command(capsys, k3_file):
     results = json.loads(out)["results"]
     assert results["parity"] == "18"
     assert results["covering"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", "--graph", "g"], {}),
+        (["lambda", "--graph", "g", "--k", "4"], {"k": 4}),
+        (["weakest-edges", "--graph", "g"], {"tol": 1e-9}),
+        (["multiplicity", "--graph", "g", "--k", "4"], {"k": 4}),
+        (["moments", "--graph", "g", "--k", "4"], {"k": 4, "ell": 8, "csv": None}),
+        (["eigvec", "--graph", "g", "--k", "4"], {"k": 4, "tol": 1e-10}),
+        (["walks", "--graph", "g", "--d", "4"], {"d": 4, "ell": 0, "csv": None}),
+        (["oracle", "--graph", "g", "--k", "4"], {"k": 4, "tol": 1e-8}),
+    ],
+)
+def test_flags_and_defaults(argv, expected):
+    args = vars(_build_parser().parse_args(argv))
+    assert args == {"command": argv[0], "graph": "g", "json": None, **expected}
+
+
+def test_variety_flags_and_defaults(capsys):
+    args = vars(_build_parser().parse_args(["variety", "--k", "4"]))
+    assert args == {"command": "variety", "k": 4, "mu": "1", "delta": 1, "json": None}
+    code, _, err = _run(capsys, ["variety", "--k", "4", "--delta", "2"])
+    assert code == 1 and "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["lambda", "--graph", "g"], ["walks", "--graph", "g"], ["variety"]]
+)
+def test_missing_required_flag_is_usage_error(capsys, argv):
+    assert _build_parser() is _build_parser()
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "required" in err
 
 
 def test_unknown_flag_is_usage_error(capsys, p3_file):
@@ -189,3 +258,48 @@ def test_eigvec_command(capsys, p3_file):
     first = results["eigenvectors"][0]
     assert first["verified"] is True
     assert first["zero_support"] == ["0", "3", "4"]
+
+
+def _golden_report(name, directory):
+    """The case's JSON report without `seconds`; graph names become files in directory."""
+    for g, text in GOLDEN_GRAPHS.items():
+        (directory / f"{g}.txt").write_text(text)
+    argv = [str(directory / f"{a}.txt") if a in GOLDEN_GRAPHS else a for a in GOLDEN_CASES[name]]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, name
+    report = json.loads(out.getvalue())
+    del report["seconds"]
+    return report
+
+
+def _assert_matches(actual, expected, where):
+    if isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert math.isclose(actual, expected, rel_tol=1e-12), (where, actual, expected)
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), where
+        for key in expected:
+            _assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_matches(a, e, f"{where}[{i}]")
+    else:
+        assert actual == expected and type(actual) is type(expected), (where, actual, expected)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_matches_golden(name, tmp_path):
+    """Floats agree to 1e-12 relative, everything else exactly."""
+    expected = json.loads(GOLDEN.read_text())[name]
+    _assert_matches(_golden_report(name, tmp_path), expected, name)
+
+
+if __name__ == "__main__":
+    # Re-record tests/golden/cli.json from the code on PYTHONPATH.
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {name: _golden_report(name, Path(tmp)) for name in sorted(GOLDEN_CASES)}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")

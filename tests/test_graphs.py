@@ -20,9 +20,17 @@ from powerhyper import (
     spectrum,
     switch,
 )
-from powerhyper.graphs import adjacency_lists, spanning_tree_edges
+from powerhyper import power, walks
+from powerhyper.graphs import CACHE_SIZE, adjacency_lists, spanning_tree_edges
 
 from _corpus import C4, K3, K4, P3, all_signings, connected_graphs, random_graphs
+
+
+def test_every_memo_is_bounded():
+    memos = (spectrum, adjacency_lists, power._hyperedges, power._incidence, walks._walk_dp)
+    assert CACHE_SIZE == 4096
+    for memo in memos:
+        assert memo.cache_info().maxsize == CACHE_SIZE, memo.__name__
 
 
 def test_parse_path():

@@ -63,6 +63,12 @@ def test_brute_force_matches_variety_size():
         assert brute_count_second_eigenvectors(g, 4) == second_eigenvariety_count(g, 4)[0]
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_brute_force_rejects_bad_tol(tol):
+    with pytest.raises(PreconditionError, match="finite and non-negative"):
+        brute_count_second_eigenvectors(P3, 4, tol=tol)
+
+
 def test_brute_force_preconditions():
     with pytest.raises(PreconditionError):
         brute_count_second_eigenvectors(K2, 4)  # no second modulus

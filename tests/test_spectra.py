@@ -13,7 +13,6 @@ from powerhyper import (
     lambda_max,
     lambda_second,
     perron_pair,
-    rho_edge_deleted,
     rho_unbalanced,
     rho_vertex_deleted,
     spectral_radius,
@@ -296,7 +295,7 @@ def test_unbalanced_largest_eigenvalue_below_edge_deletion_radius():
     for g in connected_graphs(6, max_edges=6):
         if g.m < 2:
             continue
-        bound = rho_edge_deleted(g)
+        bound = weakest_edges(g).rho
         for sg in all_signings(g):
             if not is_balanced(sg)[0]:
                 assert lambda_max(sg) < bound - 1e-9

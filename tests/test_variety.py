@@ -125,3 +125,72 @@ def test_jacobian_rejects_non_solutions():
     sys_ = LinkSystem(k=4, delta=1, mu=1)
     with pytest.raises(PreconditionError):
         jacobian_nonsingular(sys_, (0.5, 0.5))
+    with pytest.raises(PreconditionError, match="length"):
+        system_residual(sys_, (0.5, 0.5, 0.5))
+
+
+def _residual_reference(sys_, p):
+    # every product of the others multiplied out directly, O(s^2)
+    worst = 0.0
+    s = sys_.size
+    for i in range(s):
+        prod_rest = 1.0 + 0.0j
+        for j in range(s):
+            if j != i:
+                prod_rest *= p[j]
+        worst = max(worst, abs(sys_.mu * p[i] ** (sys_.k - 1) - prod_rest))
+    return worst
+
+
+def _dominant_reference(sys_, p):
+    # every off-diagonal Jacobian entry multiplied out directly, O(s^3)
+    s = sys_.size
+    for i in range(s):
+        diag = abs((sys_.k - 1) * sys_.mu * p[i] ** (sys_.k - 2))
+        off = 0.0
+        for j in range(s):
+            if j == i:
+                continue
+            prod_rest = 1.0 + 0.0j
+            for l in range(s):
+                if l != i and l != j:
+                    prod_rest *= p[l]
+            off += abs(prod_rest)
+        if diag <= off:
+            return False
+    return True
+
+
+def test_kernels_match_direct_products():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = st.builds(
+        lambda kd, r, phase: LinkSystem(k=kd[0], delta=kd[1], mu=cmath.rect(r, phase)),
+        st.sampled_from([(k, d) for k in range(3, 7) for d in (0, 1) if k - 1 - d >= 2]),
+        st.floats(0.25, 4.0),
+        st.floats(-math.pi, math.pi),
+    )
+    offsets = st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=8, max_size=8
+    )
+
+    # A perturbation of 1e-13 keeps p a solution to within 1e-9, one of 1e-3
+    # does not, so neither side of jacobian_nonsingular's check is borderline.
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(systems, st.integers(0, 10**6), st.sampled_from([0.0, 1e-13, 1e-3]), offsets)
+    def check(sys_, index, scale, offset):
+        solutions = solve_link_variety(sys_).nonzero_solutions
+        p = tuple(
+            z + scale * complex(a, b)
+            for z, (a, b) in zip(solutions[index % len(solutions)], offset)
+        )
+        expected = _residual_reference(sys_, p)
+        bound = max(1.0, abs(sys_.mu)) * max(1.0, *map(abs, p)) ** (sys_.k - 1)
+        assert abs(system_residual(sys_, p) - expected) <= 1e-12 * bound
+        if expected > 1e-9:
+            with pytest.raises(PreconditionError):
+                jacobian_nonsingular(sys_, p)
+        else:
+            assert jacobian_nonsingular(sys_, p) == _dominant_reference(sys_, p)
+
+    check()

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from powerhyper import (
     walk_ratio_series,
 )
 
+from powerhyper import walks
 from powerhyper.graphs import signed_adjacency_matrix
 
 from _corpus import C4, K2, K3, P3, all_signings, connected_graphs, random_graphs
@@ -105,6 +108,45 @@ def test_parity_decomposes_into_covering_counts():
                 sub, _ = edge_subgraph(g, idxs)
                 total += covering_parity_closed_walks(sub, d)
             assert total == parity_closed_walks(g, d)
+
+
+def test_walk_dp_memo_under_threads():
+    # 8 threads (more than the cores here) query shared DPs at growing lengths
+    # while the memo is cleared; every count must match a fresh DP's
+    graphs = [g for g in connected_graphs(5) if g.m >= 3][:6]
+    lengths = range(2, 15, 2)
+    expected = {
+        (g, covering): [walks._WalkDP(g, covering).count(d) for d in lengths]
+        for g in graphs
+        for covering in (False, True)
+    }
+    errors = []
+
+    def worker(seed):
+        try:
+            for round_ in range(20):
+                for g in graphs[seed % 3 :]:
+                    got = [parity_closed_walks(g, d) for d in lengths]
+                    got_covering = [covering_parity_closed_walks(g, d) for d in lengths]
+                    if got != expected[g, False] or got_covering != expected[g, True]:
+                        errors.append((seed, round_, g))
+                if round_ % 7 == seed % 7:
+                    walks._walk_dp.cache_clear()
+        except Exception as exc:  # reported through errors below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_ratio_series_single_edge():
