@@ -36,6 +36,7 @@ from .graphs import (
     negate,
     parse_edge_list,
     switch,
+    switching_classes,
 )
 from .spectra import (
     WeakestEdgeReport,
@@ -47,7 +48,6 @@ from .spectra import (
     rho_vertex_deleted,
     spectral_radius,
     spectrum,
-    switching_classes,
     sym_eig,
     sym_eig_vectors,
     weakest_edges,

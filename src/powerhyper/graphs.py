@@ -8,7 +8,6 @@ hashable so spectral results can be memoised on them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -169,49 +168,75 @@ def signed_adjacency_matrix(sg: SignedGraph) -> list:
     return a
 
 
+def _forest(g: Graph):
+    """The BFS spanning forest of g, as (order, via).
+
+    order lists every vertex in BFS order, component by component, each
+    component rooted at its lowest vertex; via[v] is the index of the tree
+    edge from v to its parent, or -1 at a root.  Neighbours are visited in
+    adjacency_lists order.
+    """
+    adj = adjacency_lists(g)
+    via = [None] * g.n
+    order = []
+    head = 0
+    for s in range(g.n):
+        if via[s] is not None:
+            continue
+        via[s] = -1
+        order.append(s)
+        while head < len(order):
+            for w, ei in adj[order[head]]:
+                if via[w] is None:
+                    via[w] = ei
+                    order.append(w)
+            head += 1
+    return order, via
+
+
 def components(g: Graph) -> list:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    adj = adjacency_lists(g)
-    seen = [False] * g.n
+    order, via = _forest(g)
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w, _ in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
+    for v in order:
+        if via[v] < 0:
+            out.append([])
+        out[-1].append(v)
+    return [sorted(comp) for comp in out]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    if g.m < g.n - 1:
+        return False
+    return _forest(g)[1].count(-1) == 1
+
+
+def spanning_tree_edges(g: Graph) -> tuple:
+    """Edge indices of the BFS spanning forest rooted at the lowest vertices."""
+    return tuple(sorted(ei for ei in _forest(g)[1] if ei >= 0))
+
+
+def _potentials(g: Graph, signs):
+    """+-1 vertex potentials with d[u]*sign(u,v)*d[v] = +1 on every edge, or None.
+
+    Each forest root gets +1 and the forest edges propagate it; by Harary's
+    theorem the signing is balanced exactly when every edge then agrees.
+    """
+    order, via = _forest(g)
+    pot = [1] * g.n
+    for v in order:
+        ei = via[v]
+        if ei >= 0:
+            a, b = g.edges[ei]
+            pot[v] = pot[a + b - v] * signs[ei]  # a + b - v is v's parent
+    for (u, v), sign in zip(g.edges, signs):
+        if pot[u] * sign * pot[v] != 1:
+            return None
+    return pot
 
 
 def is_bipartite(g: Graph) -> bool:
-    adj = adjacency_lists(g)
-    colour = [None] * g.n
-    for s in range(g.n):
-        if colour[s] is not None:
-            continue
-        colour[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w, _ in adj[v]:
-                if colour[w] is None:
-                    colour[w] = colour[v] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return False
-    return True
+    return _potentials(g, (-1,) * g.m) is not None
 
 
 def classify(g: Graph) -> GraphClass:
@@ -220,31 +245,29 @@ def classify(g: Graph) -> GraphClass:
         raise PreconditionError("classify requires a connected graph")
     if g.m == g.n - 1:
         return GraphClass.TREE
-    if g.m == g.n and not is_bipartite(g):
+    bipartite = is_bipartite(g)
+    if g.m == g.n and not bipartite:
         return GraphClass.ODD_UNICYCLIC
-    if is_bipartite(g):
+    if bipartite:
         return GraphClass.BIPARTITE_NON_TREE
     return GraphClass.GENERAL
 
 
-def spanning_tree_edges(g: Graph) -> tuple:
-    """Edge indices of the BFS spanning forest rooted at the lowest vertices."""
-    adj = adjacency_lists(g)
-    seen = [False] * g.n
-    tree = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w, ei in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    tree.append(ei)
-                    queue.append(w)
-    return tuple(sorted(tree))
+def switching_classes(g: Graph):
+    """One representative signing per switching class of g.
+
+    Gauge: +1 on spanning_tree_edges(g), every sign pattern on the other
+    edges (bit j of the pattern negates the j-th of them).  A graph with c
+    components has exactly 2^(m - n + c) classes.
+    """
+    tree = set(spanning_tree_edges(g))
+    free = [i for i in range(g.m) if i not in tree]
+    for bits in range(1 << len(free)):
+        signs = [1] * g.m
+        for j, ei in enumerate(free):
+            if bits >> j & 1:
+                signs[ei] = -1
+        yield SignedGraph(g, tuple(signs))
 
 
 def switch(sg: SignedGraph, s) -> SignedGraph:
@@ -267,23 +290,10 @@ def is_balanced(sg: SignedGraph):
     d[u]*sign(u,v)*d[v] = +1 on every edge, or (False, None).  The witness
     is built by spanning-tree propagation with vertex 0 fixed to +1.
     """
-    g = sg.graph
-    if not is_connected(g):
+    if not is_connected(sg.graph):
         raise PreconditionError("balance test requires a connected graph")
-    adj = adjacency_lists(g)
-    pot = [0] * g.n
-    pot[0] = 1
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, ei in adj[v]:
-            if pot[w] == 0:
-                pot[w] = pot[v] * sg.signs[ei]
-                queue.append(w)
-    for (u, v), sign in zip(g.edges, sg.signs):
-        if pot[u] * sign * pot[v] != 1:
-            return False, None
-    return True, tuple(pot)
+    pot = _potentials(sg.graph, sg.signs)
+    return (False, None) if pot is None else (True, tuple(pot))
 
 
 def is_antibalanced(sg: SignedGraph):
@@ -339,27 +349,6 @@ def _connected_sets(neighbours, max_size):
                 )
     out.sort()
     return out
-
-
-def _edges_span_connected(g, idxs):
-    verts = set()
-    for i in idxs:
-        verts.update(g.edges[i])
-    first = next(iter(verts))
-    adj = {v: [] for v in verts}
-    for i in idxs:
-        u, v = g.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {first}
-    queue = deque([first])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(verts)
 
 
 def edge_subgraph(g: Graph, idxs):

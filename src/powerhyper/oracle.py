@@ -94,23 +94,22 @@ def brute_count_second_eigenvectors(g: Graph, k: int, tol: float = 1e-8) -> int:
     Starting from each lifted eigenvector, every coordinatewise
     multiplication by k-th roots of unity is tested against the
     eigen-equations and the survivors are deduplicated projectively.
-    Tiny instances only.
+    Tiny instances only: the patterns of all weakest edges together are
+    capped at BRUTE_PHASE_CAP, checked before the first residual.
     """
     _check_residual_tol(tol)
     h = PowerHypergraph(k, g)
     if h.n_vertices > BRUTE_VERTEX_CAP:
         raise PreconditionError(f"brute force capped at {BRUTE_VERTEX_CAP} vertices")
-    report = weakest_edges(g)
+    pairs = [lift_eigenvector(g, k, e) for e, _delta in weakest_edges(g).edges]
+    supports = [[i for i, v in enumerate(pair.vector) if v != 0.0] for pair in pairs]
+    if sum(k ** (len(support) - 1) for support in supports) > BRUTE_PHASE_CAP:
+        raise PreconditionError("phase enumeration exceeds the 10^6 cap")
     roots = tuple(cmath.exp(2j * math.pi * t / k) for t in range(k))
     found = set()
-    for e, _delta in report.edges:
-        pair = lift_eigenvector(g, k, e)
-        support = [i for i, v in enumerate(pair.vector) if v != 0.0]
-        free = len(support) - 1
-        if k**free > BRUTE_PHASE_CAP:
-            raise PreconditionError("phase enumeration exceeds the 10^6 cap")
+    for pair, support in zip(pairs, supports):
         base = [complex(v) for v in pair.vector]
-        for phases in product(range(k), repeat=free):
+        for phases in product(range(k), repeat=len(support) - 1):
             x = list(base)
             for idx, t in zip(support[1:], phases):
                 x[idx] = base[idx] * roots[t]

@@ -29,6 +29,7 @@ from .graphs import (
     delete_vertex,
     edge_subgraph,
     is_connected,
+    switching_classes,
 )
 from .spectra import (
     lambda_min,
@@ -37,7 +38,6 @@ from .spectra import (
     rho_unbalanced,
     spectral_radius,
     spectrum,
-    switching_classes,
     weakest_edges,
 )
 from .variety import origin_multiplicity

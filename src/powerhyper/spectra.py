@@ -30,7 +30,7 @@ from .graphs import (
     is_balanced,
     is_connected,
     signed_adjacency_matrix,
-    spanning_tree_edges,
+    switching_classes,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -307,24 +307,6 @@ def weakest_edges(g: Graph, tie_tol: float = TIE_TOL) -> WeakestEdgeReport:
         if per_edge[e] >= top - tie_tol
     )
     return WeakestEdgeReport(rho=top, edges=winners, rho_per_edge=per_edge)
-
-
-def switching_classes(g: Graph):
-    """One representative signing per switching class of a connected graph.
-
-    Gauge: +1 on a BFS spanning tree, all sign patterns on the remaining
-    edges.  A connected graph has exactly 2^(m - n + 1) classes.
-    """
-    if not is_connected(g):
-        raise PreconditionError("switching classes require a connected graph")
-    tree = set(spanning_tree_edges(g))
-    free = [i for i in range(g.m) if i not in tree]
-    for bits in range(1 << len(free)):
-        signs = [1] * g.m
-        for j, ei in enumerate(free):
-            if bits >> j & 1:
-                signs[ei] = -1
-        yield SignedGraph(g, tuple(signs))
 
 
 def rho_unbalanced(g: Graph):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from operator import mul
 
 from .errors import PreconditionError
@@ -22,9 +21,10 @@ from .graphs import (
     CACHE_SIZE,
     Graph,
     adjacency_lists,
-    adjacency_matrix,
+    edge_subgraph,
     is_connected,
-    spanning_tree_edges,
+    signed_adjacency_matrix,
+    switching_classes,
 )
 from .spectra import spectral_radius
 
@@ -94,9 +94,10 @@ def parity_closed_walks(g: Graph, d: int) -> int:
         raise PreconditionError("walk length must be >= 1")
     if g.m > PARITY_EDGE_CAP:
         raise PreconditionError(f"parity walk DP capped at {PARITY_EDGE_CAP} edges")
-    if d % 2:
+    if d % 2 or g.m == 0:
         return 0
-    return _walk_dp(g, False).count(d)
+    # a closed walk of length >= 1 never reaches an isolated vertex
+    return _walk_dp(edge_subgraph(g, range(g.m))[0], False).count(d)
 
 
 def covering_parity_closed_walks(g: Graph, d: int) -> int:
@@ -130,26 +131,24 @@ def _pow_trace(a, d):
 def signed_moment_average(g: Graph, d: int) -> Fraction:
     """Average of trace(A^d) over all 2^m signings of g, exactly.
 
-    A switching D A D leaves trace(A^d) unchanged, and each switching class
-    has 2^(n-c) members (c components), exactly one of which is +1 on the
-    spanning forest.  So the forest is fixed to +1 and only the 2^(m-n+c)
-    patterns of the other edges are enumerated, each by integer matrix
-    powers; the result is an exact rational (integral whenever the
+    A switching D A D leaves trace(A^d) unchanged, and every class of
+    switching_classes has the same size, so the average over its
+    representatives, each by integer matrix powers, is the average over all
+    signings.  The result is an exact rational (integral whenever the
     parity-walk identity applies).
     """
     if d < 1:
         raise PreconditionError("moment order must be >= 1")
     if g.m > SIGNED_EDGE_CAP:
         raise PreconditionError(f"signing enumeration capped at {SIGNED_EDGE_CAP} edges")
-    forest = set(spanning_tree_edges(g))
-    free = [e for i, e in enumerate(g.edges) if i not in forest]
-    a = adjacency_matrix(g)
-    total = 0
-    for signs in product((1, -1), repeat=len(free)):
-        for (u, v), s in zip(free, signs):
-            a[u][v] = a[v][u] = s
-        total += _pow_trace(a, d)
-    return Fraction(total, 1 << len(free))
+    if g.m == 0:
+        return Fraction(0)
+    # isolated vertices add nothing to the trace nor to the class count
+    traces = [
+        _pow_trace(signed_adjacency_matrix(sg), d)
+        for sg in switching_classes(edge_subgraph(g, range(g.m))[0])
+    ]
+    return Fraction(sum(traces), len(traces))
 
 
 def walk_ratio_series(g: Graph, ell_max: int) -> list:

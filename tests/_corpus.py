@@ -139,6 +139,49 @@ def random_graphs(st, max_n, max_edges):
     return build()
 
 
+# Traversal-free references for the graph predicates: union-find for
+# connectivity, exhaustive search over vertex +-1 vectors for balance.
+
+
+def _union_find_groups(vertices, edges):
+    """Vertex groups joined by edges, each sorted, ordered by smallest member."""
+    parent = {v: v for v in vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    groups = {}
+    for v in sorted(parent):
+        groups.setdefault(root(v), []).append(v)
+    return sorted(groups.values())
+
+
+def ref_components(g):
+    return _union_find_groups(range(g.n), g.edges)
+
+
+def edges_span_connected(g, idxs):
+    """Whether the edges idxs of g (a nonempty list) form a connected subgraph."""
+    edges = [g.edges[i] for i in idxs]
+    return len(_union_find_groups({v for e in edges for v in e}, edges)) == 1
+
+
+def ref_is_balanced(g, signs):
+    """Some +-1 vertex vector x has x[u] * sign * x[v] = +1 on every edge."""
+    return any(
+        all(x[u] * s * x[v] == 1 for (u, v), s in zip(g.edges, signs))
+        for x in product((1, -1), repeat=g.n)
+    )
+
+
+def ref_is_bipartite(g):
+    return ref_is_balanced(g, (-1,) * g.m)
+
+
 def all_signings(g):
     """Every sign assignment over the edges of g."""
     from powerhyper import SignedGraph

@@ -15,6 +15,7 @@ GOLDEN_GRAPHS = {
     "K3": "0 1\n1 2\n2 0\n",
     "C4": "0 1\n1 2\n2 3\n3 0\n",
     "K13": "0 1\n0 2\n0 3\n",
+    "K3+3K1": "6 3\n0 1\n1 2\n2 0\n",  # a triangle and three isolated vertices
 }
 _PER_GRAPH = {
     "analyze": ["analyze"],
@@ -30,11 +31,14 @@ _PER_GRAPH = {
 }
 GOLDEN_CASES = {
     f"{g}-{label}": [argv[0], "--graph", g, *argv[1:]]
-    for g in GOLDEN_GRAPHS
+    for g in ("P3", "K3", "C4", "K13")
     for label, argv in _PER_GRAPH.items()
-    # C4 at k = 4 brute-forces 4^8 phases per weakest edge (about 25 s)
+    # C4 at k = 4 exceeds the brute-force phase cap (test_oracle_brute_force_cap)
     if (g, label) != ("C4", "oracle-k4")
 }
+GOLDEN_CASES.update(
+    {f"K3+3K1-walks-d{d}": ["walks", "--graph", "K3+3K1", "--d", str(d)] for d in (4, 6)}
+)
 GOLDEN_CASES["variety-k4-delta1"] = ["variety", "--k", "4", "--delta", "1", "--mu", "1+1i"]
 GOLDEN_CASES["variety-k5-delta0"] = ["variety", "--k", "5", "--delta", "0"]
 
@@ -248,6 +252,18 @@ def test_oracle_command(capsys, p3_file):
     results = json.loads(out)["results"]
     assert results["power_iteration"]["converged_value"] == pytest.approx(2 ** 0.25, abs=1e-6)
     assert results["brute_second_count"] == "32"
+
+
+def test_oracle_brute_force_cap(capsys, tmp_path):
+    # 4 x 4^9 phase patterns in total: reported as skipped, not run
+    path = tmp_path / "c4.txt"
+    path.write_text(GOLDEN_GRAPHS["C4"])
+    code, out, _ = _run(capsys, ["oracle", "--graph", str(path), "--k", "4"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["brute_second_count"] is None
+    assert results["brute_skip_reason"] == "phase enumeration exceeds the 10^6 cap"
+    assert results["power_iteration"]["converged_value"] == pytest.approx(2**0.5, abs=1e-6)
 
 
 def test_eigvec_command(capsys, p3_file):

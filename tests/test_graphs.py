@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import product
+
 import pytest
 
 from powerhyper import (
@@ -15,15 +18,29 @@ from powerhyper import (
     delete_vertex,
     is_antibalanced,
     is_balanced,
+    is_bipartite,
     is_cut_edge,
     parse_edge_list,
     spectrum,
     switch,
+    switching_classes,
 )
 from powerhyper import power, walks
-from powerhyper.graphs import CACHE_SIZE, adjacency_lists, spanning_tree_edges
+from powerhyper.graphs import CACHE_SIZE, adjacency_lists, is_connected, spanning_tree_edges
 
-from _corpus import C4, K3, K4, P3, all_signings, connected_graphs, random_graphs
+from _corpus import (
+    C4,
+    K3,
+    K4,
+    P3,
+    all_signings,
+    connected_graphs,
+    edges_span_connected,
+    random_graphs,
+    ref_components,
+    ref_is_balanced,
+    ref_is_bipartite,
+)
 
 
 def test_every_memo_is_bounded():
@@ -191,12 +208,10 @@ def test_connected_edge_subsets_small():
 def test_connected_edge_subsets_k4_matches_bruteforce():
     subsets = connected_edge_subsets(K4, 6)
     # brute force: connectivity filter over all 2^6 nonempty subsets
-    from powerhyper.graphs import _edges_span_connected
-
     expected = [
         tuple(i for i in range(6) if mask >> i & 1)
         for mask in range(1, 64)
-        if _edges_span_connected(K4, [i for i in range(6) if mask >> i & 1])
+        if edges_span_connected(K4, [i for i in range(6) if mask >> i & 1])
     ]
     assert sorted(subsets) == sorted(expected)
     assert len(subsets) == len(set(subsets))
@@ -205,7 +220,6 @@ def test_connected_edge_subsets_k4_matches_bruteforce():
 def test_connected_edge_subsets_match_mask_scan():
     # the exact list, order included, for every size bound
     hypothesis = pytest.importorskip("hypothesis")
-    from powerhyper.graphs import _edges_span_connected
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
     @hypothesis.given(random_graphs(hypothesis.strategies, 9, 12))
@@ -214,11 +228,78 @@ def test_connected_edge_subsets_match_mask_scan():
         scan = [
             tuple(i for i in range(g.m) if mask >> i & 1) for mask in range(1, 1 << g.m)
         ]
-        connected = [idxs for idxs in scan if _edges_span_connected(g, idxs)]
+        connected = [idxs for idxs in scan if edges_span_connected(g, idxs)]
         for s in range(1, g.m + 1):
             assert connected_edge_subsets(g, s) == [c for c in connected if len(c) <= s]
 
     check()
+
+
+def test_forest_answers_match_references():
+    # every traversal answer agrees with a traversal-free reference, on
+    # connected and disconnected graphs, forests and edgeless graphs alike
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(random_graphs(hypothesis.strategies, 9, 12))
+    @hypothesis.example(Graph(8, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))))
+    @hypothesis.example(Graph(7, ((0, 1), (1, 2), (3, 5), (4, 6))))
+    @hypothesis.example(Graph(3, ()))
+    def check(g):
+        comps = ref_components(g)
+        assert components(g) == comps
+        assert is_connected(g) == (len(comps) == 1)
+        assert is_bipartite(g) == ref_is_bipartite(g)
+        tree = spanning_tree_edges(g)
+        assert len(tree) == g.n - len(comps)
+        sub = Graph(g.n, tuple(g.edges[i] for i in tree))
+        assert ref_components(sub) == comps  # n - c edges spanning c components: acyclic
+        if len(comps) == 1:
+            for sg in all_signings(g) if g.m <= 6 else (all_positive(g), all_negative(g)):
+                flag, pot = is_balanced(sg)
+                assert flag == ref_is_balanced(g, sg.signs)
+                if flag:
+                    assert all(pot[u] * s * pot[v] == 1 for (u, v), s in zip(g.edges, sg.signs))
+        else:
+            with pytest.raises(PreconditionError):
+                is_balanced(all_positive(g))
+
+    check()
+
+
+def test_switching_classes_partition_every_signing():
+    # the orbits of the representatives under all 2^n switchings cover each
+    # of the 2^m signings exactly once
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(random_graphs(hypothesis.strategies, 8, 8))
+    @hypothesis.example(Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))))
+    def check(g):
+        reps = list(switching_classes(g))
+        assert len(reps) == 2 ** (g.m - g.n + len(ref_components(g)))
+        seen = set()
+        for sg in reps:
+            orbit = {
+                tuple(x[u] * s * x[v] for (u, v), s in zip(g.edges, sg.signs))
+                for x in product((1, -1), repeat=g.n)
+            }
+            assert not orbit & seen
+            seen |= orbit
+        assert len(seen) == 2**g.m
+
+    check()
+
+
+def test_is_connected_counts_edges_before_allocating():
+    g = Graph(3_000_001, ((0, 1), (1, 3_000_000)))
+    tracemalloc.start()
+    try:
+        assert not is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_delete_edge_and_components():

@@ -11,7 +11,7 @@ from powerhyper import (
     projective_representative,
 )
 
-from _corpus import K2, K3, K4, P3, connected_graphs
+from _corpus import C4, K2, K3, K4, P3, connected_graphs
 
 
 def test_single_edge_converges_immediately():
@@ -95,3 +95,18 @@ def test_projective_representative_shape():
     assert abs(rep[0].imag) < 1e-15 and rep[0].real > 0
     with pytest.raises(PreconditionError):
         projective_representative((0.0, 0.0))
+
+
+@pytest.mark.parametrize("g, k", [(C4, 4), (K3, 5)], ids=["C4-k4", "K3-k5"])
+def test_brute_force_cap_bounds_total_work(g, k, monkeypatch):
+    # C4 at k = 4 needs 4 x 4^9 = 1,048,576 patterns and K3 at k = 5 needs
+    # 3 x 5^8 = 1,171,875: each edge alone is under the 10^6 cap, the total
+    # is not, and it is refused before the first residual
+    from powerhyper import oracle
+
+    def no_residual(*args):
+        raise AssertionError("residual evaluated before the cap check")
+
+    monkeypatch.setattr(oracle, "eigen_residual", no_residual)
+    with pytest.raises(PreconditionError, match="10\\^6 cap"):
+        brute_count_second_eigenvectors(g, k)

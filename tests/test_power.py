@@ -23,10 +23,10 @@ from powerhyper import (
 )
 
 from powerhyper import power
-from powerhyper.graphs import _edges_span_connected, edge_subgraph, is_connected
+from powerhyper.graphs import edge_subgraph, is_connected
 from powerhyper.power import _spectrum_subgraphs
 
-from _corpus import C4, K2, K3, K4, P3, P4, connected_graphs
+from _corpus import C4, K2, K3, K4, P3, P4, connected_graphs, edges_span_connected
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,7 +98,7 @@ def _mask_scan_subgraphs(g, induced):
     else:
         for mask in range(1, 1 << g.m):
             idxs = [i for i in range(g.m) if mask >> i & 1]
-            if _edges_span_connected(g, idxs):
+            if edges_span_connected(g, idxs):
                 yield edge_subgraph(g, idxs)[0]
 
 

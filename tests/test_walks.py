@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,25 @@ def test_signed_moment_average_matches_every_signing():
             assert signed_moment_average(g, d) == Fraction(totals[d - 1], 2**g.m)
 
     check()
+
+
+def test_walks_skip_isolated_vertices():
+    # P3 with 398 isolated vertices in between: same counts as P3, and no
+    # state or matrix is built for the isolated vertices
+    g = Graph(401, ((0, 1), (1, 400)))
+    for fn in (parity_closed_walks, signed_moment_average):
+        expected = [fn(P3, d) for d in range(2, 9)]
+        walks._walk_dp.cache_clear()
+        tracemalloc.start()
+        try:
+            got = [fn(g, d) for d in range(2, 9)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected, fn.__name__
+        assert peak < 32 * 1024, fn.__name__
+    assert parity_closed_walks(Graph(5, ()), 4) == 0
+    assert signed_moment_average(Graph(5, ()), 4) == 0
 
 
 def test_parity_decomposes_into_covering_counts():
