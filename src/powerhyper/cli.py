@@ -29,7 +29,6 @@ from .power import (
     build_power,
     lift_eigenvector,
     power_spectral_radius,
-    second_largest_modulus,
     second_modulus_candidates,
     spectral_moment,
 )
@@ -118,10 +117,11 @@ def _cmd_analyze(g, args):
 
 
 def _cmd_lambda(g, args):
+    candidates = second_modulus_candidates(g, args.k)
     return {
-        "lambda": second_largest_modulus(g, args.k),
+        "lambda": max(candidates.values()) ** (2.0 / args.k),
         "k": args.k,
-        "candidates": second_modulus_candidates(g, args.k),
+        "candidates": candidates,
         "rho_power": power_spectral_radius(g, args.k),
     }
 
@@ -160,13 +160,10 @@ def _cmd_multiplicity(g, args):
 def _moment_rows(g, k, ell_max):
     rows = []
     for ell in range(1, ell_max + 1):
+        # the estimate checks its preconditions before any moment is computed
+        estimate = am_second_from_moments(g, k, ell) if k >= 4 and g.m >= 2 else None
         d = k * ell
-        row = {"ell": ell, "d": d, "moment": spectral_moment(g, k, d)}
-        if k >= 4 and g.m >= 2:
-            row["estimate"] = am_second_from_moments(g, k, ell)
-        else:
-            row["estimate"] = None
-        rows.append(row)
+        rows.append({"ell": ell, "d": d, "moment": spectral_moment(g, k, d), "estimate": estimate})
     return rows
 
 

@@ -216,11 +216,13 @@ def spanning_tree_edges(g: Graph) -> tuple:
     return tuple(sorted(ei for ei in _forest(g)[1] if ei >= 0))
 
 
-def _potentials(g: Graph, signs):
-    """+-1 vertex potentials with d[u]*sign(u,v)*d[v] = +1 on every edge, or None.
+def _gauge(g: Graph, signs):
+    """Vertex potentials and the switching-class representative of a signing.
 
-    Each forest root gets +1 and the forest edges propagate it; by Harary's
-    theorem the signing is balanced exactly when every edge then agrees.
+    Each forest root gets +1 and the forest edges propagate it, so
+    rep[e] = pot[u]*signs[e]*pot[v] is +1 on every forest edge: the gauge of
+    switching_classes.  By Harary's theorem the signing is balanced exactly
+    when -1 is not in rep.
     """
     order, via = _forest(g)
     pot = [1] * g.n
@@ -229,14 +231,12 @@ def _potentials(g: Graph, signs):
         if ei >= 0:
             a, b = g.edges[ei]
             pot[v] = pot[a + b - v] * signs[ei]  # a + b - v is v's parent
-    for (u, v), sign in zip(g.edges, signs):
-        if pot[u] * sign * pot[v] != 1:
-            return None
-    return pot
+    rep = tuple(pot[u] * sign * pot[v] for (u, v), sign in zip(g.edges, signs))
+    return pot, rep
 
 
 def is_bipartite(g: Graph) -> bool:
-    return _potentials(g, (-1,) * g.m) is not None
+    return -1 not in _gauge(g, (-1,) * g.m)[1]
 
 
 def classify(g: Graph) -> GraphClass:
@@ -292,8 +292,8 @@ def is_balanced(sg: SignedGraph):
     """
     if not is_connected(sg.graph):
         raise PreconditionError("balance test requires a connected graph")
-    pot = _potentials(sg.graph, sg.signs)
-    return (False, None) if pot is None else (True, tuple(pot))
+    pot, rep = _gauge(sg.graph, sg.signs)
+    return (False, None) if -1 in rep else (True, tuple(pot))
 
 
 def is_antibalanced(sg: SignedGraph):

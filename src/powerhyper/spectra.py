@@ -23,11 +23,10 @@ from .graphs import (
     CACHE_SIZE,
     Graph,
     SignedGraph,
+    _gauge,
     adjacency_matrix,
     delete_edge,
     delete_vertex,
-    is_antibalanced,
-    is_balanced,
     is_connected,
     signed_adjacency_matrix,
     switching_classes,
@@ -312,19 +311,21 @@ def weakest_edges(g: Graph, tie_tol: float = TIE_TOL) -> WeakestEdgeReport:
 def rho_unbalanced(g: Graph):
     """Largest spectral radius among switching classes strictly below spectral_radius(g).
 
-    Classes attaining the graph radius are exactly the balanced and
-    antibalanced ones; that agreement is asserted.  Returns None when every
-    class attains it (trees and odd-unicyclic graphs).
+    Classes attaining the graph radius are exactly the balanced and the
+    antibalanced class: in the gauge of switching_classes, the all-positive
+    signing and the all-negative one's representative.  That agreement is
+    asserted.  Returns None when every class attains it (trees and
+    odd-unicyclic graphs).
     """
     if not is_connected(g):
         raise PreconditionError("switching-class radius requires a connected graph")
     rho = spectral_radius(g)
+    extremal = {(1,) * g.m, _gauge(g, (-1,) * g.m)[1]}
     best = None
     for sg in switching_classes(g):
         r = spectral_radius(sg)
         attains = r >= rho - TIE_TOL
-        extremal = is_balanced(sg)[0] or is_antibalanced(sg)[0]
-        if attains != extremal:
+        if attains != (sg.signs in extremal):
             raise InternalInconsistencyError(
                 "numeric radius comparison disagrees with the balance test"
             )

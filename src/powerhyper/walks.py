@@ -2,11 +2,11 @@
 
 A parity-closed walk is a closed walk using every edge an even number of
 times; the covering variant must also touch every edge at least once.
-Counts are computed by dynamic programming over (vertex, per-edge parity
-bitmask) states, summed over all start vertices (the trace convention),
-with arbitrary-precision integers throughout.  DP state is memoised per
-graph (at most CACHE_SIZE graphs, like every memo in the package) and
-extended on demand, so repeated queries at growing lengths reuse earlier steps.
+Counts come from dynamic programming over (vertex, per-edge parity bitmask)
+states, in one table for all start vertices (the trace convention; a parity
+mask fixes its walk's start), with arbitrary-precision integers.  DP state
+is memoised per graph (at most CACHE_SIZE graphs, like every memo in the
+package) and extended on demand, so longer queries reuse earlier steps.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ SIGNED_EDGE_CAP = 12
 
 
 class _WalkDP:
-    """Per-start parity DP, optionally tracking the touched-edge mask.
+    """Parity DP over all starts in one table, optionally tracking the touched-edge mask.
 
-    State extension is guarded by a lock, so one DP can serve concurrent
-    queries.
+    A parity mask is odd exactly at its walk's start and current vertex, or
+    nowhere when they coincide, so no state mixes two starts.  Extension is
+    locked, so one DP can serve concurrent queries.
     """
 
     def __init__(self, g, covering):
@@ -45,10 +46,9 @@ class _WalkDP:
         self.trans = adjacency_lists(g)
         self.full = (1 << g.m) - 1
         if covering:
-            self.states = [{(s, 0, 0): 1} for s in range(g.n)]
+            self.states = {(s, 0, 0): 1 for s in range(g.n)}
         else:
-            self.states = [{(s, 0): 1} for s in range(g.n)]
-        self.starts = list(range(g.n))
+            self.states = {(s, 0): 1 for s in range(g.n)}
         self.counts = []
         self._lock = threading.Lock()
 
@@ -57,26 +57,25 @@ class _WalkDP:
             return self._extend(d)
 
     def _extend(self, d):
+        # parity 0 gives every vertex even degree in the walk, so it is closed
+        n = len(self.trans)
         while len(self.counts) < d:
-            total = 0
-            for s in self.starts:
-                nxt = {}
-                get = nxt.get
-                if self.covering:
-                    for (v, parity, touched), c in self.states[s].items():
-                        for w, ei in self.trans[v]:
-                            bit = 1 << ei
-                            key = (w, parity ^ bit, touched | bit)
-                            nxt[key] = get(key, 0) + c
-                    self.states[s] = nxt
-                    total += nxt.get((s, 0, self.full), 0)
-                else:
-                    for (v, parity), c in self.states[s].items():
-                        for w, ei in self.trans[v]:
-                            key = (w, parity ^ (1 << ei))
-                            nxt[key] = get(key, 0) + c
-                    self.states[s] = nxt
-                    total += nxt.get((s, 0), 0)
+            nxt = {}
+            get = nxt.get
+            if self.covering:
+                for (v, parity, touched), c in self.states.items():
+                    for w, ei in self.trans[v]:
+                        bit = 1 << ei
+                        key = (w, parity ^ bit, touched | bit)
+                        nxt[key] = get(key, 0) + c
+                total = sum(get((v, 0, self.full), 0) for v in range(n))
+            else:
+                for (v, parity), c in self.states.items():
+                    for w, ei in self.trans[v]:
+                        key = (w, parity ^ (1 << ei))
+                        nxt[key] = get(key, 0) + c
+                total = sum(get((v, 0), 0) for v in range(n))
+            self.states = nxt
             self.counts.append(total)
         return self.counts[d - 1]
 

@@ -188,3 +188,27 @@ def all_signings(g):
 
     for signs in product((1, -1), repeat=g.m):
         yield SignedGraph(g, signs)
+
+
+def ref_closed_walks(g, d, covering):
+    """Closed walks of length d, from every start, using every edge an even
+    number of times (and each at least once when covering), by enumeration."""
+    adj = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    uses = [0] * g.m
+
+    def walks_from(start, v, left, odd):
+        if odd > left:  # each step changes the number of odd-use edges by one
+            return 0
+        if left == 0:
+            return v == start and (not covering or 0 not in uses)
+        total = 0
+        for w, i in adj[v]:
+            uses[i] += 1
+            total += walks_from(start, w, left - 1, odd + (1 if uses[i] % 2 else -1))
+            uses[i] -= 1
+        return total
+
+    return sum(walks_from(s, s, d, 0) for s in range(g.n))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -319,3 +320,19 @@ if __name__ == "__main__":
         record = {name: _golden_report(name, Path(tmp)) for name in sorted(GOLDEN_CASES)}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
+
+
+def test_moments_refuses_before_computing_moments(capsys, tmp_path):
+    # the connectivity check runs before the first moment, whose weight
+    # alone has about 95,000 digits at n = 200,001
+    path = tmp_path / "far.txt"
+    path.write_text("0 1\n1 200000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, ["moments", "--graph", str(path), "--k", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.strip() == "precondition failure: moment estimate requires a connected graph"
+    assert peak < 1024 * 1024

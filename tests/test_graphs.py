@@ -26,7 +26,13 @@ from powerhyper import (
     switching_classes,
 )
 from powerhyper import power, walks
-from powerhyper.graphs import CACHE_SIZE, adjacency_lists, is_connected, spanning_tree_edges
+from powerhyper.graphs import (
+    CACHE_SIZE,
+    _gauge,
+    adjacency_lists,
+    is_connected,
+    spanning_tree_edges,
+)
 
 from _corpus import (
     C4,
@@ -289,6 +295,40 @@ def test_switching_classes_partition_every_signing():
         assert len(seen) == 2**g.m
 
     check()
+
+
+def test_gauge_is_the_switching_class_representative():
+    # rep is the signing switched by the potentials: +1 on the spanning
+    # forest, one of the switching_classes representatives, and free of -1
+    # exactly when the signing is balanced
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(random_graphs(hypothesis.strategies, 7, 8))
+    @hypothesis.example(Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6))))
+    def check(g):
+        tree = spanning_tree_edges(g)
+        reps = {sg.signs for sg in switching_classes(g)}
+        for sg in all_signings(g):
+            pot, rep = _gauge(g, sg.signs)
+            switched = tuple(pot[u] * s * pot[v] for (u, v), s in zip(g.edges, sg.signs))
+            on_tree = {rep[i] for i in tree}
+            assert rep == switched and rep in reps and on_tree <= {1}, sg
+            assert (-1 not in rep) == ref_is_balanced(g, sg.signs), sg
+
+    check()
+
+
+def test_extremal_classes_are_read_off_the_gauge():
+    # the two classes rho_unbalanced takes as extremal are exactly those the
+    # per-class balance and antibalance tests accept
+    for g in connected_graphs(6, max_edges=8):
+        by_tests = {
+            sg.signs
+            for sg in switching_classes(g)
+            if is_balanced(sg)[0] or is_antibalanced(sg)[0]
+        }
+        assert by_tests == {(1,) * g.m, _gauge(g, (-1,) * g.m)[1]}
 
 
 def test_is_connected_counts_edges_before_allocating():

@@ -19,7 +19,16 @@ from powerhyper import (
 from powerhyper import walks
 from powerhyper.graphs import signed_adjacency_matrix
 
-from _corpus import C4, K2, K3, P3, all_signings, connected_graphs, random_graphs
+from _corpus import (
+    C4,
+    K2,
+    K3,
+    P3,
+    all_signings,
+    connected_graphs,
+    random_graphs,
+    ref_closed_walks,
+)
 
 
 def test_parity_examples():
@@ -198,3 +207,16 @@ def test_signed_average_matches_spectral_moments():
             for sg in all_signings(g):
                 acc += sum(v**d for v in spectrum(sg))
             assert abs(acc / 2**g.m - float(signed_moment_average(g, d))) < 1e-6
+
+
+def test_walk_counts_match_enumeration():
+    # one DP table serves every start; enumerating each start's closed walks
+    # separately must give the same counts, disconnected graphs included
+    split = Graph(8, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)))  # K3 + P4 + K1
+    for g in (*connected_graphs(5), split):
+        for d in range(1, 9):
+            assert parity_closed_walks(g, d) == ref_closed_walks(g, d, False), (g, d)
+            expected = ref_closed_walks(g, d, True)
+            assert walks._WalkDP(g, True).count(d) == expected, (g, d)
+            if g is not split:
+                assert covering_parity_closed_walks(g, d) == expected, (g, d)
